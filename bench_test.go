@@ -13,8 +13,10 @@ package pcfreduce_test
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
+	"pcfreduce"
 	"pcfreduce/internal/core"
 	"pcfreduce/internal/experiments"
 	"pcfreduce/internal/gossip"
@@ -269,4 +271,58 @@ func benchEstimate(b *testing.B, n *core.Node) {
 	for i := 0; i < b.N; i++ {
 		_ = n.Estimate()
 	}
+}
+
+// ----------------------------------------------------------------------
+// Time-to-ε: one whole pcfreduce.Reduce to 1e-12 on the sharded
+// executor (2 shards) per op. The two workloads are the perfbench ones:
+// a fault-free 16384-node hypercube, where the parallel activate fan-out
+// and the per-round oracle error dominate, and a 16^3 torus with 1%
+// loss and 32 permanent link failures, where every round takes the
+// serial interceptor merge. Each op is a fixed instance and seed, so
+// rounds are constant and ns/op is the wall-clock to ε.
+// ----------------------------------------------------------------------
+
+func BenchmarkReducePCFHypercube16kShards2(b *testing.B) {
+	benchReduce(b, topology.Hypercube(14), 0, 0)
+}
+
+func BenchmarkReducePCFLossyTorus4kShards2(b *testing.B) {
+	benchReduce(b, topology.Torus3D(16, 16, 16), 0.01, 32)
+}
+
+// benchReduce solves one Reduce instance over g per op: uniform inputs,
+// the given message loss rate, and failures permanent link failures at
+// rounds in [20, 175], all drawn from a fixed seed.
+func benchReduce(b *testing.B, g *topology.Graph, loss float64, failures int) {
+	rng := rand.New(rand.NewSource(301))
+	inputs := make([]float64, g.N())
+	for i := range inputs {
+		inputs[i] = rng.Float64()
+	}
+	opt := pcfreduce.ReduceOptions{
+		Topology: g,
+		Eps:      1e-12,
+		Seed:     302,
+		LossRate: loss,
+		Shards:   2,
+	}
+	edges := g.Edges()
+	for _, k := range rng.Perm(len(edges))[:failures] {
+		opt.LinkFailures = append(opt.LinkFailures,
+			pcfreduce.LinkFailure{Round: 20 + rng.Intn(156), A: edges[k][0], B: edges[k][1]})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var res pcfreduce.ReduceResult
+	for i := 0; i < b.N; i++ {
+		var err error
+		if res, err = pcfreduce.Reduce(inputs, pcfreduce.PCF, opt); err != nil {
+			b.Fatal(err)
+		}
+		if !res.Converged {
+			b.Fatalf("not converged after %d rounds (max error %g)", res.Rounds, res.MaxError)
+		}
+	}
+	b.ReportMetric(float64(res.Rounds), "rounds")
 }

@@ -6,22 +6,24 @@ import (
 )
 
 // Phase names one timed section of the engine's round loop. The sharded
-// executor records phases 1:1 with its code structure: the three
-// parallel fan-outs (activate, deliver, errors) are timed per shard by
-// whichever worker ran the shard, the serial sections (merge, flush) by
-// the caller, and each fan-out's barrier wait and wall-clock by the
-// caller into shard slot 0. PhaseSample is the runtime monitor's probe
-// cost, recorded outside the simulator entirely.
+// executor records phases 1:1 with its code structure: the parallel
+// fan-outs (activate, deliver, and errors on explicit Errors calls) are
+// timed per shard by whichever worker ran the shard, the serial sections
+// (merge, flush) by the caller, and each fan-out's barrier wait and
+// wall-clock by the caller into shard slot 0. PhaseSample is the runtime
+// monitor's probe cost, recorded outside the simulator entirely.
 type Phase int
 
 const (
 	// PhaseActivate is one shard's phase-1 work: drain inbox, run node
 	// activations, stage outgoing messages into per-destination buckets.
+	// Inside Engine.Run it also includes each node's oracle error.
 	PhaseActivate Phase = iota
 	// PhaseDeliver is one shard's phase-2 work: merge the per-source
 	// buckets destined to it (in ascending source order) into its inbox.
 	PhaseDeliver
-	// PhaseErrors is one shard's slice of an oracle error probe.
+	// PhaseErrors is one shard's slice of an explicit Engine.Errors
+	// scan. Run does not fire it: it takes the errors from activation.
 	PhaseErrors
 	// PhaseMerge is the serial outbox merge used on interceptor rounds
 	// instead of parallel delivery (timed per destination shard).
@@ -31,7 +33,8 @@ const (
 	// PhaseBarrierActivate / PhaseBarrierDeliver / PhaseBarrierErrors
 	// are the caller's wait at the respective fan-out barrier after
 	// finishing its own shard-0 slice: the straggler signal. Recorded
-	// into shard slot 0.
+	// into shard slot 0. PhaseBarrierErrors, like PhaseErrors and
+	// PhaseWallErrors, fires only on explicit Errors calls.
 	PhaseBarrierActivate
 	PhaseBarrierDeliver
 	PhaseBarrierErrors

@@ -36,9 +36,6 @@ func (e *Engine) SetMetrics(rec *metrics.Recorder) {
 		banks = e.shards
 	}
 	rec.EnsureBanks(banks)
-	if e.shard != nil && e.shard.events == nil {
-		e.shard.events = make([][]metrics.Event, e.shards)
-	}
 	if e.probeSums == nil {
 		e.probeSums = make([]stats.Sum2, e.width)
 		e.probeVal = gossip.NewValue(e.width)
@@ -107,8 +104,8 @@ func (e *Engine) noteEvent(ev metrics.Event) {
 		return
 	}
 	if e.inPhase1 && e.shard != nil && ev.A >= 0 {
-		s := e.shard.shardOf[ev.A]
-		e.shard.events[s] = append(e.shard.events[s], ev)
+		sl := &e.shard.local[e.shard.shardOf[ev.A]]
+		sl.events = append(sl.events, ev)
 		return
 	}
 	e.rec.RecordEvent(ev)

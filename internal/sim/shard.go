@@ -12,7 +12,10 @@ package sim
 //	with at the end of the previous round, runs its failure detector,
 //	and pushes one message toward a random live neighbor drawn from the
 //	node's own splitmix64 stream. Outgoing messages are appended to the
-//	shard's ordered outbox; nothing is delivered yet.
+//	shard's ordered outbox; nothing is delivered yet. Inside Run, each
+//	worker also computes every alive node's oracle error right after
+//	the node's activation (stepErrors), so Run needs no separate errors
+//	fan-out: the node's state is final for the round by then.
 //
 //	Phase 2 (parallel): delivery. During phase 1 every send was routed
 //	into the per-(source shard → destination shard) outbox bucket
@@ -50,6 +53,12 @@ package sim
 // the flat per-source-shard outbox and run the serial cursor merge
 // instead — bit-identical to the pre-parallel-delivery executor.
 //
+// Everything a worker writes per node lives in its shard's shardLocal,
+// padded so that no two shards' scratch shares a 128-byte block (the
+// adjacent-line prefetcher moves lines in pairs): without it, the two
+// cores bounce the lines holding neighbouring free-list and bucket
+// headers on every message.
+//
 // Parallelism uses a persistent worker pool: the first parallel round
 // starts P−1 worker goroutines that block on a task channel; each round
 // the caller dispatches one task per shard (running shard 0 itself) —
@@ -79,6 +88,7 @@ import (
 	"strconv"
 	"sync"
 	"time"
+	"unsafe"
 
 	"pcfreduce/internal/gossip"
 	"pcfreduce/internal/metrics"
@@ -138,11 +148,11 @@ func WithPhaseLabels() EngineOption {
 // legacy sequential-activation model).
 func (e *Engine) Shards() int { return e.shards }
 
-// shardState holds the executor state of the phase-split model. All
-// slices indexed by source shard are touched only by the owning worker
-// during phase 1; bucket COLUMNS (fixed destination index) and the
-// per-destination structures are touched only by the owning delivery
-// task during phase 2.
+// shardState holds the executor state of the phase-split model. Every
+// field here is written only between rounds or by the single caller
+// goroutine; what a shard's worker writes during a round lives in its
+// own padded local[s] (phase 1) or, for a delivery task d, in the
+// destination-owned slots named on shardScratch (phase 2).
 type shardState struct {
 	nodes    [][]int32 // per-shard ascending node-id lists
 	shardOf  []int32   // node id → shard index
@@ -150,39 +160,75 @@ type shardState struct {
 	contig   bool      // concatenated shard lists == 0..n−1 (merge fast path)
 	baseLast int       // len(nodes[last]) before any joins (dropMembership rewind)
 
-	// bucket[s][d] holds shard s's sends to destinations owned by shard
-	// d, in emission (ascending source id) order — the routed form that
-	// lets delivery run one task per destination shard. outbox[s] is the
-	// flat per-source-shard form used by interceptor rounds, which need
-	// the serial global-order merge.
-	bucket [][][]*gossip.Message
-	outbox [][]*gossip.Message // flat per-shard sends (interceptor rounds)
-	pool   [][]*gossip.Message // per-shard message free lists
-	keep   []int               // per-shard keepalive counters, folded at the barrier
-	cursor []int               // per-shard merge cursors (non-contiguous layouts)
-	dcur   [][]int             // per-destination k-way merge cursors (parallel delivery)
+	local []shardLocal // per-shard scratch, one padded block run per shard
 
-	errs [][]float64 // per-shard Errors scratch
-	est  [][]float64 // per-shard estimate scratch
-
-	// events stages per-shard trace events emitted during phase 1
-	// (detector evictions, reintegrations); they are flushed into the
-	// recorder's ring at merge time in ascending node order, so the
-	// recorded sequence is identical for every shard count and layout.
-	// nil until SetMetrics.
-	events [][]metrics.Event
-
+	cursor  []int             // serial merge cursors (non-contiguous layouts)
 	surplus []*gossip.Message // rebalancePools scratch
 
-	// phase1Task and deliverTask are the bound method values handed to
-	// runShards every round. Bound once at init: creating a method value
-	// at the call site would heap-allocate per round (the func escapes
-	// through labeled and the pool's task channel), and the bench gate
-	// pins the sharded round's allocs/op.
+	// fuseErrs makes phase 1 compute every alive node's oracle error
+	// right after its activation (stepErrors); set and cleared by the
+	// caller around the fan-out, read-only to the workers.
+	fuseErrs bool
+
+	// phase1Task, deliverTask and errorsTask are the bound method values
+	// handed to runShards. Bound once at init: creating a method value or
+	// closure at the call site would heap-allocate per call (the func
+	// escapes through labeled and the pool's task channel), and the
+	// steady-state Step + Errors loop is pinned allocation-free.
 	phase1Task  func(int)
 	deliverTask func(int)
+	errorsTask  func(int)
 
 	workers *workerPool // persistent phase-1 workers; nil until first parallel round
+}
+
+// shardBlock is the unit of false sharing: the adjacent-line prefetcher
+// pulls 64-byte cache lines in aligned pairs, so two cores writing into
+// the same 128-byte block contend even when they never share a line.
+const shardBlock = 128
+
+// shardScratch is everything shard s's worker writes per node during a
+// round. Phase 1 (shard s's worker) owns all of it except dcur; phase 2
+// (delivery task d) writes only dcur of local[d], the pool of local[d],
+// and slot d of every source shard's bucket row.
+type shardScratch struct {
+	pool   []*gossip.Message   // free list
+	outbox []*gossip.Message   // flat sends in emission order (interceptor rounds)
+	bucket [][]*gossip.Message // bucket[d]: sends to shard d's nodes, emission order
+	dcur   []int               // k-way merge cursors of delivery task s (non-contiguous layouts)
+	events []metrics.Event     // trace events staged in phase 1, flushed at the barrier
+	est    []float64           // estimate scratch of the error kernel
+	errs   []float64           // per-node oracle errors, ascending node id
+	keep   int                 // keepalives sent this round, folded at the barrier
+}
+
+// shardLocal is shardScratch padded so that no two shards' headers ever
+// share a 128-byte block: the size is a multiple of shardBlock and the
+// padding after the fields is more than one whole block, so the rule
+// holds whatever alignment the allocator gives the local slice. Rule for
+// new per-shard state: if a worker writes it per node, it goes in
+// shardScratch (or in rows carved by paddedRows) — never in a slice
+// indexed by shard, whose neighbouring headers share a line.
+// TestShardLocalLayout pins both properties.
+type shardLocal struct {
+	shardScratch
+	_ [2*shardBlock - unsafe.Sizeof(shardScratch{})%shardBlock]byte
+}
+
+// paddedRows carves p rows of n elements out of one backing array,
+// spaced so at least shardBlock bytes separate consecutive rows: rows
+// written by different workers then never share a 128-byte block. Each
+// row is capped at n, so an append moves only that row.
+func paddedRows[T any](p, n int) [][]T {
+	var zero T
+	size := int(unsafe.Sizeof(zero))
+	stride := n + (shardBlock+size-1)/size
+	back := make([]T, p*stride)
+	rows := make([][]T, p)
+	for s := range rows {
+		rows[s] = back[s*stride : s*stride+n : s*stride+n]
+	}
+	return rows
 }
 
 // workerPool is the persistent goroutine pool behind parallel phase-1
@@ -345,18 +391,16 @@ func (e *Engine) initShards(seed int64) {
 		nodes:   make([][]int32, p),
 		shardOf: make([]int32, n),
 		nodeRNG: make([]uint64, n),
-		bucket:  make([][][]*gossip.Message, p),
-		outbox:  make([][]*gossip.Message, p),
-		pool:    make([][]*gossip.Message, p),
-		keep:    make([]int, p),
+		local:   make([]shardLocal, p),
 		cursor:  make([]int, p),
-		dcur:    make([][]int, p),
-		errs:    make([][]float64, p),
-		est:     make([][]float64, p),
 	}
-	for s := 0; s < p; s++ {
-		ss.bucket[s] = make([][]*gossip.Message, p)
-		ss.dcur[s] = make([]int, p)
+	buckets := paddedRows[[]*gossip.Message](p, p)
+	dcurs := paddedRows[int](p, p)
+	ests := paddedRows[float64](p, e.width)
+	for s := range ss.local {
+		ss.local[s].bucket = buckets[s]
+		ss.local[s].dcur = dcurs[s]
+		ss.local[s].est = ests[s]
 	}
 	if e.partition != nil {
 		for s, list := range e.partition.Shards {
@@ -384,7 +428,6 @@ func (e *Engine) initShards(seed int64) {
 			}
 			prev = i
 		}
-		ss.est[s] = make([]float64, e.width)
 	}
 	ss.baseLast = len(ss.nodes[p-1])
 	// Pre-size the inboxes for the expected per-round load (one data
@@ -403,6 +446,7 @@ func (e *Engine) initShards(seed int64) {
 	}
 	ss.phase1Task = e.shardPhase1
 	ss.deliverTask = e.deliverShard
+	ss.errorsTask = e.errorsRange
 	e.shard = ss
 	e.seedNodeRNG(seed)
 }
@@ -445,10 +489,10 @@ func (e *Engine) draw(i, n int) int {
 // getMsgShard takes a message off shard s's free list (phase 1: only the
 // owning worker calls this; merge: single-threaded).
 func (e *Engine) getMsgShard(s int) *gossip.Message {
-	pool := e.shard.pool[s]
-	if n := len(pool); n > 0 {
-		m := pool[n-1]
-		e.shard.pool[s] = pool[:n-1]
+	sl := &e.shard.local[s]
+	if n := len(sl.pool); n > 0 {
+		m := sl.pool[n-1]
+		sl.pool = sl.pool[:n-1]
 		e.rec.Bank(s).Inc(metrics.FreeListHits)
 		return m
 	}
@@ -464,7 +508,29 @@ func (e *Engine) putMsgShard(s int, m *gossip.Message) {
 	}
 	m.Flow1.X = m.Flow1.X[:e.width]
 	m.Flow2.X = m.Flow2.X[:e.width]
-	e.shard.pool[s] = append(e.shard.pool[s], m)
+	sl := &e.shard.local[s]
+	sl.pool = append(sl.pool, m)
+}
+
+// dropShardQueues recycles every queued but undelivered message and
+// clears the staged events and keepalive counts — the per-trial shard
+// state that Reset and Restore discard.
+func (e *Engine) dropShardQueues() {
+	for s := range e.shard.local {
+		sl := &e.shard.local[s]
+		for _, m := range sl.outbox {
+			e.putMsgShard(s, m)
+		}
+		sl.outbox = sl.outbox[:0]
+		for d, col := range sl.bucket {
+			for _, m := range col {
+				e.putMsgShard(s, m)
+			}
+			sl.bucket[d] = col[:0]
+		}
+		sl.keep = 0
+		sl.events = sl.events[:0]
+	}
 }
 
 // stepSharded executes one phase-split round: phase 1 on the worker
@@ -514,9 +580,9 @@ func (e *Engine) stepSharded() {
 // foldKeepalives folds the per-shard phase-1 keepalive counters into the
 // engine total at the round barrier.
 func (e *Engine) foldKeepalives() {
-	for s := 0; s < e.shards; s++ {
-		e.keepalives += e.shard.keep[s]
-		e.shard.keep[s] = 0
+	for s := range e.shard.local {
+		e.keepalives += e.shard.local[s].keep
+		e.shard.local[s].keep = 0
 	}
 }
 
@@ -527,55 +593,77 @@ func (e *Engine) foldKeepalives() {
 // the flat outbox preserves each node's intra-round send order (data
 // before keepalives), which bucketing by destination would lose.
 func (e *Engine) enqueueShard(s int, m *gossip.Message) {
+	sl := &e.shard.local[s]
 	if e.interceptor != nil {
-		e.shard.outbox[s] = append(e.shard.outbox[s], m)
+		sl.outbox = append(sl.outbox, m)
 		return
 	}
 	d := e.shard.shardOf[m.To]
-	e.shard.bucket[s][d] = append(e.shard.bucket[s][d], m)
+	sl.bucket[d] = append(sl.bucket[d], m)
 }
 
 // shardPhase1 runs the local half-round of every node in shard s, in
 // ascending id order. It touches only node-local state plus the shard's
-// outbox, pool and keepalive counter — the invariant that makes the
-// phase embarrassingly parallel.
+// own local[s] — the invariant that makes the phase embarrassingly
+// parallel. Under stepErrors it also appends every alive node's oracle
+// error to local[s].errs right after the node's activation, while its
+// state is still in cache: a node's state is final for the round once
+// it has activated (no other node's activation can reach it, and
+// delivery only fills inboxes). Hung nodes skip activation but still get
+// an error, exactly as the Errors scan would report them.
 func (e *Engine) shardPhase1(s int) {
+	sl := &e.shard.local[s]
+	fuse := e.shard.fuseErrs
+	sl.errs = sl.errs[:0]
 	for _, i32 := range e.shard.nodes[s] {
 		i := int(i32)
-		if !e.alive[i] || e.hung[i] {
+		if !e.alive[i] {
 			continue
 		}
-		p := e.protos[i]
-		e.drainInboxShard(i, s)
-		if e.det != nil {
-			for _, j := range e.det[i].Check(float64(e.round)) {
-				p.OnLinkFailure(j)
-				if !e.canReint[i] {
-					e.det[i].Remove(j)
-				}
-				if e.rec != nil {
-					b := e.rec.Bank(s)
-					b.Inc(metrics.Suspicions)
-					b.Inc(metrics.Evictions)
-					e.shard.events[s] = append(e.shard.events[s], metrics.Event{Kind: metrics.EvLinkEvicted, Round: e.round, A: i, B: j})
-				}
+		if !e.hung[i] {
+			e.activateShard(i, s)
+		}
+		if fuse {
+			sl.errs = append(sl.errs, e.nodeErr(sl, i))
+		}
+	}
+}
+
+// activateShard is one alive, running node's phase-1 activation: drain
+// the frozen inbox, run the failure detector, push one message toward a
+// random live neighbor, and queue keepalives.
+func (e *Engine) activateShard(i, s int) {
+	p := e.protos[i]
+	e.drainInboxShard(i, s)
+	if e.det != nil {
+		for _, j := range e.det[i].Check(float64(e.round)) {
+			p.OnLinkFailure(j)
+			if !e.canReint[i] {
+				e.det[i].Remove(j)
+			}
+			if e.rec != nil {
+				b := e.rec.Bank(s)
+				b.Inc(metrics.Suspicions)
+				b.Inc(metrics.Evictions)
+				sl := &e.shard.local[s]
+				sl.events = append(sl.events, metrics.Event{Kind: metrics.EvLinkEvicted, Round: e.round, A: i, B: j})
 			}
 		}
-		if live := p.LiveNeighbors(); len(live) > 0 {
-			target := int(live[e.draw(i, len(live))])
-			e.noteSent(i, target)
-			e.rec.Bank(s).Inc(metrics.MsgsSent)
-			m := e.getMsgShard(s)
-			if f, ok := p.(gossip.MessageFiller); ok {
-				f.FillMessage(target, m)
-			} else {
-				*m = p.MakeMessage(target)
-			}
-			e.enqueueShard(s, m)
+	}
+	if live := p.LiveNeighbors(); len(live) > 0 {
+		target := int(live[e.draw(i, len(live))])
+		e.noteSent(i, target)
+		e.rec.Bank(s).Inc(metrics.MsgsSent)
+		m := e.getMsgShard(s)
+		if f, ok := p.(gossip.MessageFiller); ok {
+			f.FillMessage(target, m)
+		} else {
+			*m = p.MakeMessage(target)
 		}
-		if e.det != nil {
-			e.shardKeepalives(i, s)
-		}
+		e.enqueueShard(s, m)
+	}
+	if e.det != nil {
+		e.shardKeepalives(i, s)
 	}
 }
 
@@ -599,7 +687,7 @@ func (e *Engine) shardKeepalives(i, s int) {
 		j := int(j32)
 		if e.round-e.lastSent[i][j] >= e.detCfg.KeepaliveInterval {
 			e.noteSent(i, j)
-			e.shard.keep[s]++
+			e.shard.local[s].keep++
 			e.rec.Bank(s).Inc(metrics.Keepalives)
 			e.enqueueShard(s, e.makeControlShard(i, j, gossip.KindKeepalive, s))
 		}
@@ -607,7 +695,7 @@ func (e *Engine) shardKeepalives(i, s int) {
 	for _, j := range e.det[i].Suspects() {
 		if e.round-e.lastSent[i][j] >= e.detCfg.ProbeInterval {
 			e.noteSent(i, j)
-			e.shard.keep[s]++
+			e.shard.local[s].keep++
 			e.rec.Bank(s).Inc(metrics.Keepalives)
 			e.enqueueShard(s, e.makeControlShard(i, j, gossip.KindKeepalive, s))
 		}
@@ -661,26 +749,24 @@ func (e *Engine) deliverRound() {
 // only destination-shard-owned state: inboxes of d's nodes, pool d,
 // counter bank d, and the streams of directed links into d.
 func (e *Engine) deliverShard(d int) {
-	p := e.shards
+	local := e.shard.local
 	if e.shard.contig {
-		for s := 0; s < p; s++ {
-			col := e.shard.bucket[s][d]
+		for s := range local {
+			col := local[s].bucket[d]
 			for _, m := range col {
 				e.routeDeliver(m, d)
 			}
-			e.shard.bucket[s][d] = col[:0]
+			local[s].bucket[d] = col[:0]
 		}
 		return
 	}
-	cur := e.shard.dcur[d]
-	for s := 0; s < p; s++ {
-		cur[s] = 0
-	}
+	cur := local[d].dcur
+	clear(cur)
 	last := -1
 	for {
 		best, bestFrom := -1, 0
-		for s := 0; s < p; s++ {
-			col := e.shard.bucket[s][d]
+		for s := range local {
+			col := local[s].bucket[d]
 			if cur[s] < len(col) && (best < 0 || col[cur[s]].From < bestFrom) {
 				best, bestFrom = s, col[cur[s]].From
 			}
@@ -692,14 +778,14 @@ func (e *Engine) deliverShard(d int) {
 			panic(fmt.Sprintf("sim: bucket (%d→%d) out of source id order (%d after %d)", best, d, bestFrom, last))
 		}
 		last = bestFrom
-		col := e.shard.bucket[best][d]
+		col := local[best].bucket[d]
 		for cur[best] < len(col) && col[cur[best]].From == bestFrom {
 			e.routeDeliver(col[cur[best]], d)
 			cur[best]++
 		}
 	}
-	for s := 0; s < p; s++ {
-		e.shard.bucket[s][d] = e.shard.bucket[s][d][:0]
+	for s := range local {
+		local[s].bucket[d] = local[s].bucket[d][:0]
 	}
 }
 
@@ -741,25 +827,23 @@ func (e *Engine) routeDeliver(msg *gossip.Message, d int) {
 // sends are consecutive in its shard's outbox, so draining the head run
 // reproduces the global order without scanning every node id).
 func (e *Engine) mergeOutboxes() {
-	p := e.shards
+	local := e.shard.local
 	if e.shard.contig {
-		for s := 0; s < p; s++ {
-			for _, m := range e.shard.outbox[s] {
+		for s := range local {
+			for _, m := range local[s].outbox {
 				e.routeMerged(m)
 			}
-			e.shard.outbox[s] = e.shard.outbox[s][:0]
+			local[s].outbox = local[s].outbox[:0]
 		}
 		return
 	}
 	cur := e.shard.cursor
-	for s := 0; s < p; s++ {
-		cur[s] = 0
-	}
+	clear(cur)
 	last := -1
 	for {
 		best, bestFrom := -1, 0
-		for s := 0; s < p; s++ {
-			out := e.shard.outbox[s]
+		for s := range local {
+			out := local[s].outbox
 			if cur[s] < len(out) && (best < 0 || out[cur[s]].From < bestFrom) {
 				best, bestFrom = s, out[cur[s]].From
 			}
@@ -771,14 +855,14 @@ func (e *Engine) mergeOutboxes() {
 			panic(fmt.Sprintf("sim: shard %d outbox out of source id order (%d after %d)", best, bestFrom, last))
 		}
 		last = bestFrom
-		out := e.shard.outbox[best]
+		out := local[best].outbox
 		for cur[best] < len(out) && out[cur[best]].From == bestFrom {
 			e.routeMerged(out[cur[best]])
 			cur[best]++
 		}
 	}
-	for s := 0; s < p; s++ {
-		e.shard.outbox[s] = e.shard.outbox[s][:0]
+	for s := range local {
+		local[s].outbox = local[s].outbox[:0]
 	}
 }
 
@@ -787,21 +871,18 @@ func (e *Engine) mergeOutboxes() {
 // merge as the outboxes, so the recorded stream is identical for every
 // shard count and layout.
 func (e *Engine) flushShardEvents() {
-	if e.shard.events == nil {
-		return
-	}
-	p := e.shards
+	local := e.shard.local
 	total := 0
-	for s := 0; s < p; s++ {
-		total += len(e.shard.events[s])
+	for s := range local {
+		total += len(local[s].events)
 	}
 	if total == 0 {
 		return
 	}
 	if e.shard.contig {
-		for s := 0; s < p; s++ {
-			if len(e.shard.events[s]) > 0 {
-				e.rec.RecordEvents(e.shard.events[s])
+		for s := range local {
+			if len(local[s].events) > 0 {
+				e.rec.RecordEvents(local[s].events)
 			}
 		}
 	} else {
@@ -810,13 +891,11 @@ func (e *Engine) flushShardEvents() {
 		// ascending), so draining each head run walks the events once
 		// instead of scanning every node id per round.
 		cur := e.shard.cursor
-		for s := 0; s < p; s++ {
-			cur[s] = 0
-		}
+		clear(cur)
 		for {
 			best, bestA := -1, 0
-			for s := 0; s < p; s++ {
-				evs := e.shard.events[s]
+			for s := range local {
+				evs := local[s].events
 				if cur[s] < len(evs) && (best < 0 || evs[cur[s]].A < bestA) {
 					best, bestA = s, evs[cur[s]].A
 				}
@@ -824,15 +903,15 @@ func (e *Engine) flushShardEvents() {
 			if best < 0 {
 				break
 			}
-			evs := e.shard.events[best]
+			evs := local[best].events
 			for cur[best] < len(evs) && evs[cur[best]].A == bestA {
 				e.rec.RecordEvent(evs[cur[best]])
 				cur[best]++
 			}
 		}
 	}
-	for s := 0; s < p; s++ {
-		e.shard.events[s] = e.shard.events[s][:0]
+	for s := range local {
+		local[s].events = local[s].events[:0]
 	}
 }
 
@@ -846,28 +925,31 @@ func (e *Engine) flushShardEvents() {
 // is fully overwritten before delivery), so this is invisible to the
 // byte-identical-across-P guarantee.
 func (e *Engine) rebalancePools() {
-	p := e.shards
+	local := e.shard.local
+	p := len(local)
 	if p == 1 {
 		return
 	}
 	total := 0
-	for s := 0; s < p; s++ {
-		total += len(e.shard.pool[s])
+	for s := range local {
+		total += len(local[s].pool)
 	}
 	target := total / p
 	surplus := e.shard.surplus[:0]
-	for s := 0; s < p; s++ {
-		for len(e.shard.pool[s]) > target+1 {
-			l := len(e.shard.pool[s]) - 1
-			surplus = append(surplus, e.shard.pool[s][l])
-			e.shard.pool[s][l] = nil
-			e.shard.pool[s] = e.shard.pool[s][:l]
+	for s := range local {
+		sl := &local[s]
+		for len(sl.pool) > target+1 {
+			l := len(sl.pool) - 1
+			surplus = append(surplus, sl.pool[l])
+			sl.pool[l] = nil
+			sl.pool = sl.pool[:l]
 		}
 	}
 	for s := 0; s < p && len(surplus) > 0; s++ {
-		for len(e.shard.pool[s]) <= target && len(surplus) > 0 {
+		sl := &local[s]
+		for len(sl.pool) <= target && len(surplus) > 0 {
 			l := len(surplus) - 1
-			e.shard.pool[s] = append(e.shard.pool[s], surplus[l])
+			sl.pool = append(sl.pool, surplus[l])
 			surplus[l] = nil
 			surplus = surplus[:l]
 		}
@@ -945,53 +1027,74 @@ func (e *Engine) cloneMsgShard(m *gossip.Message, s int) *gossip.Message {
 	return c
 }
 
+// stepErrors runs one round and returns the per-node oracle errors it
+// ended with: Step followed by Errors, except that the phase-split model
+// computes each node's error inside its phase-1 activation (see
+// shardPhase1) and so skips the separate errors fan-out and its barrier.
+// The values, and their ascending-id order, are bit-identical to the
+// Errors scan's. The returned slice is the Errors buffer.
+func (e *Engine) stepErrors() []float64 {
+	if e.shards == 0 {
+		e.Step()
+		return e.Errors()
+	}
+	e.shard.fuseErrs = true
+	e.stepSharded()
+	e.shard.fuseErrs = false
+	return e.mergeShardErrs()
+}
+
 // errorsSharded computes the per-node oracle errors with one worker per
 // shard, then merges the per-shard slices in ascending node id order —
 // the same skip-dead sequence (and bit-identical values) as the serial
 // scan, for every shard layout.
 func (e *Engine) errorsSharded() []float64 {
-	p := e.shards
-	e.runShards("errors", metrics.PhaseErrors, func(s int) {
-		e.shard.errs[s] = e.errorsRange(s, e.shard.errs[s][:0])
-	})
+	e.runShards("errors", metrics.PhaseErrors, e.shard.errorsTask)
+	return e.mergeShardErrs()
+}
+
+// mergeShardErrs concatenates the per-shard error slices into errBuf in
+// ascending node id order.
+func (e *Engine) mergeShardErrs() []float64 {
+	local := e.shard.local
 	e.errBuf = e.errBuf[:0]
 	if e.shard.contig {
-		for s := 0; s < p; s++ {
-			e.errBuf = append(e.errBuf, e.shard.errs[s]...)
+		for s := range local {
+			e.errBuf = append(e.errBuf, local[s].errs...)
 		}
 		return e.errBuf
 	}
 	cur := e.shard.cursor
-	for s := 0; s < p; s++ {
-		cur[s] = 0
-	}
+	clear(cur)
 	for i := 0; i < len(e.protos); i++ {
 		if !e.alive[i] {
 			continue
 		}
 		s := e.shard.shardOf[i]
-		e.errBuf = append(e.errBuf, e.shard.errs[s][cur[s]])
+		e.errBuf = append(e.errBuf, local[s].errs[cur[s]])
 		cur[s]++
 	}
 	return e.errBuf
 }
 
-// errorsRange appends the worst relative error of every alive node in
-// shard s to out, using the shard's own estimate scratch.
-func (e *Engine) errorsRange(s int, out []float64) []float64 {
+// errorsRange recomputes shard s's error slice: the worst relative error
+// of every alive node in the shard, in ascending id order.
+func (e *Engine) errorsRange(s int) {
+	sl := &e.shard.local[s]
+	sl.errs = sl.errs[:0]
 	for _, i32 := range e.shard.nodes[s] {
-		i := int(i32)
-		if !e.alive[i] {
-			continue
+		if i := int(i32); e.alive[i] {
+			sl.errs = append(sl.errs, e.nodeErr(sl, i))
 		}
-		var est []float64
-		if ip, ok := e.protos[i].(gossip.Estimator); ok {
-			e.shard.est[s] = ip.EstimateInto(e.shard.est[s])
-			est = e.shard.est[s]
-		} else {
-			est = e.protos[i].Estimate()
-		}
-		out = append(out, e.worstErr(est))
 	}
-	return out
+}
+
+// nodeErr is the per-node error kernel shared by the fused and scanning
+// paths: node i's worst relative error, estimated into sl's scratch.
+func (e *Engine) nodeErr(sl *shardLocal, i int) float64 {
+	if ip, ok := e.protos[i].(gossip.Estimator); ok {
+		sl.est = ip.EstimateInto(sl.est)
+		return e.worstErr(sl.est)
+	}
+	return e.worstErr(e.protos[i].Estimate())
 }

@@ -153,7 +153,7 @@ type Engine struct {
 	probeVal  gossip.Value      // massResidual scratch
 	probeSums []stats.Sum2      // massResidual scratch
 
-	shards    int                 // 0 = legacy sequential model; ≥ 1 = phase-split model
+	shards        int                 // 0 = legacy sequential model; ≥ 1 = phase-split model
 	shard         *shardState         // executor state of the phase-split model (shard.go)
 	partition     *topology.Partition // explicit shard layout (WithPartition); nil = contiguous
 	serialDeliver bool                // run phase-2 delivery tasks inline (WithSerialDelivery)
@@ -357,25 +357,9 @@ func (e *Engine) Reset(seed int64) {
 	}
 	if e.shards > 0 {
 		e.seedNodeRNG(seed)
-		for s := 0; s < e.shards; s++ {
-			for _, m := range e.shard.outbox[s] {
-				e.putMsgShard(s, m)
-			}
-			e.shard.outbox[s] = e.shard.outbox[s][:0]
-			for d := 0; d < e.shards; d++ {
-				for _, m := range e.shard.bucket[s][d] {
-					e.putMsgShard(s, m)
-				}
-				e.shard.bucket[s][d] = e.shard.bucket[s][d][:0]
-			}
-			e.shard.keep[s] = 0
-			if e.shard.events != nil {
-				// Staged-but-unflushed trace events are per-trial state:
-				// drop them so nothing recorded before Reset can leak
-				// into the next trial's event stream.
-				e.shard.events[s] = e.shard.events[s][:0]
-			}
-		}
+		// Queued messages and staged trace events are per-trial state:
+		// nothing from the finished trial may leak into the next one.
+		e.dropShardQueues()
 	}
 	if e.nodeCkpt != nil {
 		// Per-node crash-restart checkpoints belong to the finished
@@ -426,11 +410,10 @@ func (e *Engine) ResetWithInputs(seed int64, init []gossip.Value) {
 			e.probeVal = gossip.NewValue(width)
 		}
 		if e.shard != nil {
-			for s := range e.shard.pool {
-				e.shard.pool[s] = nil
-			}
-			for s := range e.shard.est {
-				e.shard.est[s] = make([]float64, width)
+			ests := paddedRows[float64](e.shards, width)
+			for s := range e.shard.local {
+				e.shard.local[s].pool = nil
+				e.shard.local[s].est = ests[s]
 			}
 		}
 	}
@@ -1023,7 +1006,9 @@ func (e *Engine) Estimates() [][]float64 {
 
 // Errors returns, for each alive node, the worst relative error over all
 // data components against the oracle aggregate. The returned slice is
-// reused across calls.
+// reused across calls. It always scans the current state (on a sharded
+// engine, as one fan-out over the shards); Run gets the same values
+// from the round's activation instead (stepErrors).
 func (e *Engine) Errors() []float64 {
 	if e.shards > 0 {
 		return e.errorsSharded()
@@ -1187,8 +1172,7 @@ func (e *Engine) Run(cfg RunConfig) Result {
 		if cfg.OnRound != nil {
 			cfg.OnRound(e, e.round)
 		}
-		e.Step()
-		errs := e.Errors()
+		errs := e.stepErrors()
 		maxErr := stats.Max(errs)
 		if e.rec.Due(e.round) {
 			e.observe(errs)

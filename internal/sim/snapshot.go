@@ -424,22 +424,7 @@ func (e *Engine) Restore(s *Snapshot) error {
 	if e.nodeCkpt != nil {
 		clear(e.nodeCkpt)
 	}
-	for s := 0; s < e.shards; s++ {
-		for _, m := range e.shard.outbox[s] {
-			e.putMsgShard(s, m)
-		}
-		e.shard.outbox[s] = e.shard.outbox[s][:0]
-		for d := 0; d < e.shards; d++ {
-			for _, m := range e.shard.bucket[s][d] {
-				e.putMsgShard(s, m)
-			}
-			e.shard.bucket[s][d] = e.shard.bucket[s][d][:0]
-		}
-		e.shard.keep[s] = 0
-		if e.shard.events != nil {
-			e.shard.events[s] = e.shard.events[s][:0]
-		}
-	}
+	e.dropShardQueues()
 	e.recomputeTargets()
 	return nil
 }
