@@ -185,17 +185,27 @@ func benchRounds(b *testing.B, mk func() gossip.Protocol) {
 }
 
 // ----------------------------------------------------------------------
-// Protocol microbenchmarks: one send + one receive on a warm node.
+// Protocol microbenchmarks: one send + one receive on a warm node,
+// filling one reused message as the engines fill their pooled ones.
 // ----------------------------------------------------------------------
 
 func benchExchange(b *testing.B, mk func() gossip.Protocol) {
 	a, c := mk(), mk()
 	a.Reset(0, []int32{1}, gossip.Scalar(8, 1))
 	c.Reset(1, []int32{0}, gossip.Scalar(2, 1))
+	exchange(b, a, c, 1)
+}
+
+// exchange times b.N round trips between a (node 0) and c (node 1)
+// through one reused width-w message.
+func exchange(b *testing.B, a, c gossip.Protocol, w int) {
+	msg := &gossip.Message{Flow1: gossip.NewValue(w), Flow2: gossip.NewValue(w)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Receive(a.MakeMessage(1))
-		a.Receive(c.MakeMessage(0))
+		a.FillMessage(1, msg)
+		c.Receive(*msg)
+		c.FillMessage(0, msg)
+		a.Receive(*msg)
 	}
 }
 
@@ -224,11 +234,7 @@ func BenchmarkExchangePCFVector16(b *testing.B) {
 	}
 	a.Reset(0, []int32{1}, gossip.Vector(xs, 1))
 	c.Reset(1, []int32{0}, gossip.Vector(xs, 1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Receive(a.MakeMessage(1))
-		a.Receive(c.MakeMessage(0))
-	}
+	exchange(b, a, c, len(xs))
 }
 
 // BenchmarkEventEngine measures the continuous-time engine's event
@@ -264,12 +270,14 @@ func BenchmarkEstimateRobust(b *testing.B) {
 func benchEstimate(b *testing.B, n *core.Node) {
 	neighbors := []int32{1, 2, 3, 4, 5, 6}
 	n.Reset(0, neighbors, gossip.Scalar(8, 1))
+	var msg gossip.Message
 	for _, j := range neighbors {
-		n.MakeMessage(int(j))
+		n.FillMessage(int(j), &msg)
 	}
+	var est []float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = n.Estimate()
+		est = n.EstimateInto(est)
 	}
 }
 

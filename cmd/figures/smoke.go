@@ -53,7 +53,7 @@ func runBenchSmoke(seed int64) {
 		}
 		est := make([][]float64, n)
 		for i := 0; i < n; i++ {
-			est[i] = e.Protocol(i).Estimate()
+			est[i] = e.Protocol(i).EstimateInto(nil)
 		}
 		e.Close()
 		if ref == nil {
@@ -138,7 +138,7 @@ func runBenchSmoke(seed int64) {
 		}
 		est := make([][]float64, n)
 		for i := 0; i < n; i++ {
-			est[i] = e.Protocol(i).Estimate()
+			est[i] = e.Protocol(i).EstimateInto(nil)
 		}
 		e.Close()
 		if dref == nil {

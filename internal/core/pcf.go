@@ -197,16 +197,9 @@ func (n *Node) Reset(node int, neighbors []int32, init gossip.Value) {
 	}
 }
 
-// local returns the node's current mass: v − ϕ for the efficient
-// variant, v − ϕ − Σ f for the robust variant (paper Sec. III-A).
-func (n *Node) local() gossip.Value {
-	var e gossip.Value
-	n.localInto(&e)
-	return e
-}
-
 // localInto computes the node's current mass into dst without allocating
-// (beyond growing dst once to the value width).
+// (beyond growing dst once to the value width): v − ϕ for the efficient
+// variant, v − ϕ − Σ f for the robust variant (paper Sec. III-A).
 func (n *Node) localInto(dst *gossip.Value) {
 	dst.Set(n.init)
 	dst.SubInPlace(n.phi)
@@ -217,18 +210,9 @@ func (n *Node) localInto(dst *gossip.Value) {
 	}
 }
 
-// MakeMessage implements gossip.Protocol (paper Fig. 5 lines 30–33):
+// FillMessage implements gossip.Protocol (paper Fig. 5 lines 30–33):
 // virtual-send half the local mass into the edge's active slot, then
 // transmit both slots plus the (c, r) control pair.
-func (n *Node) MakeMessage(target int) gossip.Message {
-	msg := gossip.Message{From: n.id, To: target}
-	n.FillMessage(target, &msg)
-	return msg
-}
-
-// FillMessage implements gossip.MessageFiller: the allocation-free form
-// of MakeMessage (identical state transition, bit-identical wire
-// contents).
 func (n *Node) FillMessage(target int, msg *gossip.Message) {
 	k := n.edgeIndex(target)
 	if k < 0 {
@@ -358,17 +342,11 @@ func (n *Node) cancel(k, s int) {
 	n.slots[2*k+s].Zero()
 }
 
-// Estimate implements gossip.Protocol.
-func (n *Node) Estimate() []float64 { return n.local().Estimate() }
-
-// EstimateInto implements gossip.Estimator.
+// EstimateInto implements gossip.Protocol.
 func (n *Node) EstimateInto(dst []float64) []float64 {
 	n.localInto(&n.scratch)
 	return n.scratch.EstimateInto(dst)
 }
-
-// LocalValue implements gossip.Protocol.
-func (n *Node) LocalValue() gossip.Value { return n.local() }
 
 // OnLinkFailure implements gossip.Protocol: exclude the failed link by
 // zeroing both flow slots (paper Sec. II-A applied to PCF).
@@ -418,7 +396,7 @@ func (n *Node) OnLinkFailure(neighbor int) {
 	n.live = remove(n.live, int32(neighbor))
 }
 
-// OnLinkRecover implements gossip.Reintegrator: re-admit a neighbor
+// OnLinkRecover implements gossip.Protocol: re-admit a neighbor
 // evicted by OnLinkFailure by reinstating the edge exactly as it was at
 // eviction time (slots, active slot, role counter). Restoring — rather
 // than restarting from a clean edge — matters for conservation: the
@@ -512,11 +490,10 @@ func (n *Node) SlotViews(neighbor int) (f [2]gossip.Value, ok bool) {
 	return [2]gossip.Value{n.slots[2*k], n.slots[2*k+1]}, true
 }
 
-// LocalValueInto implements gossip.MassReader: LocalValue without the
-// allocation.
+// LocalValueInto implements gossip.Protocol.
 func (n *Node) LocalValueInto(dst *gossip.Value) { n.localInto(dst) }
 
-// OnNeighborJoin implements gossip.OpenMembership: admit a brand-new
+// OnNeighborJoin implements gossip.Protocol: admit a brand-new
 // neighbor with a clean edge — zero slots, active slot 0, role counter
 // 1. A zero slot pair carries no mass, so edge admission is
 // mass-neutral. When a rewire recreates an edge onto a neighbor we
@@ -555,7 +532,7 @@ func (n *Node) OnNeighborJoin(neighbor int) {
 	n.live = append(n.live, int32(neighbor))
 }
 
-// AbsorbMass implements gossip.OpenMembership: fold a gracefully
+// AbsorbMass implements gossip.Protocol: fold a gracefully
 // departing neighbor's surplus into this node's own contribution. ϕ and
 // the slots are untouched, so the local estimate rises by exactly v.
 func (n *Node) AbsorbMass(v gossip.Value) {
@@ -593,7 +570,7 @@ func sameInt32s(a, b []int32) bool {
 	return true
 }
 
-// SetInput implements gossip.DynamicInput: live-monitoring input change
+// SetInput implements gossip.Protocol: live-monitoring input change
 // (the paper's reference [8] use case). Flow slots and ϕ are untouched;
 // the local estimate shifts by the input delta and the network
 // re-averages it, with all of PCF's fault tolerance intact.

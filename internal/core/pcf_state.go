@@ -1,18 +1,19 @@
 package core
 
-// Checkpoint support: PCF's mutable state serialized into flat snapshot
-// streams (gossip.Snapshotter). The struct-of-arrays layout makes this
-// a handful of bulk copies: the slot payloads are one backing-array
-// copy, and only the per-slot weights, the (c, r) control pairs, the
-// frozen pre-eviction edge snapshots and the live list need element
-// walks. The live list is serialized verbatim — its order encodes the
-// reintegration history and feeds the engine's target draw, so sorting
-// or rebuilding it would break bit-identical replay. The scratch value
-// is deliberately absent: it is fully overwritten before every use.
+// Checkpoint support: PCF's mutable state serialized into flat
+// snapshot streams (gossip.Protocol.SaveState and LoadState). The
+// struct-of-arrays layout makes this a handful of bulk copies: the
+// slot payloads are one backing-array copy, and only the per-slot
+// weights, the (c, r) control pairs, the frozen pre-eviction edge
+// snapshots and the live list need element walks. The live list is
+// serialized verbatim — its order encodes the reintegration history
+// and feeds the engine's target draw, so sorting or rebuilding it
+// would break bit-identical replay. The scratch value is deliberately
+// absent: it is fully overwritten before every use.
 
 import "pcfreduce/internal/gossip"
 
-// SaveState implements gossip.Snapshotter.
+// SaveState implements gossip.Protocol.
 func (n *Node) SaveState(w *gossip.StateWriter) {
 	w.PutValue(n.init)
 	w.PutValue(n.phi)
@@ -38,7 +39,7 @@ func (n *Node) SaveState(w *gossip.StateWriter) {
 	w.PutI32s(n.live)
 }
 
-// LoadState implements gossip.Snapshotter. The node must have been
+// LoadState implements gossip.Protocol. The node must have been
 // Reset with the same (id, neighbors, width) the snapshot was taken
 // under; failures surface via the reader's sticky error.
 func (n *Node) LoadState(r *gossip.StateReader) {

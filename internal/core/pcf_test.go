@@ -11,6 +11,20 @@ import (
 	"pcfreduce/internal/topology"
 )
 
+// push returns p's message to target, filled into a fresh message.
+func push(p *Node, target int) gossip.Message {
+	var m gossip.Message
+	p.FillMessage(target, &m)
+	return m
+}
+
+// localValue returns p's current local mass.
+func localValue(p gossip.Protocol) gossip.Value {
+	var v gossip.Value
+	p.LocalValueInto(&v)
+	return v
+}
+
 func protos(n int, v Variant) []gossip.Protocol {
 	out := make([]gossip.Protocol, n)
 	for i := range out {
@@ -53,8 +67,8 @@ func TestCancellationHandshake(t *testing.T) {
 
 		// Several alternating exchanges: a→b, b→a, …
 		for k := 0; k < 10; k++ {
-			b.Receive(a.MakeMessage(1))
-			a.Receive(b.MakeMessage(0))
+			b.Receive(push(a, 1))
+			a.Receive(push(b, 0))
 		}
 		// The handshake must have progressed: r well beyond 1.
 		_, ra := a.RoleState(1)
@@ -63,7 +77,7 @@ func TestCancellationHandshake(t *testing.T) {
 			t.Fatalf("%v: cancellation stalled (r = %d, %d)", variant, ra, rb)
 		}
 		// Estimates converge to the average 4.
-		ea, eb := a.Estimate()[0], b.Estimate()[0]
+		ea, eb := a.EstimateInto(nil)[0], b.EstimateInto(nil)[0]
 		if math.Abs(ea-4) > 0.2 || math.Abs(eb-4) > 0.2 {
 			t.Fatalf("%v: estimates %.3f %.3f not approaching 4", variant, ea, eb)
 		}
@@ -98,9 +112,9 @@ func TestEquivalenceWithPushFlowExact(t *testing.T) {
 				eEff.Step()
 				eRob.Step()
 				for i := 0; i < n; i++ {
-					pf := ePF.Protocol(i).LocalValue()
-					eff := eEff.Protocol(i).LocalValue()
-					rob := eRob.Protocol(i).LocalValue()
+					pf := localValue(ePF.Protocol(i))
+					eff := localValue(eEff.Protocol(i))
+					rob := localValue(eRob.Protocol(i))
 					if !pf.Equal(eff) {
 						t.Fatalf("%s seed %d round %d node %d: PF %v != PCF-efficient %v",
 							g.Name(), seed, r+1, i, pf, eff)
@@ -171,19 +185,19 @@ func TestOnLinkFailureKeepsEstimate(t *testing.T) {
 		a.Reset(0, []int32{1, 2}, gossip.Scalar(8, 1))
 		b.Reset(1, []int32{0}, gossip.Scalar(2, 1))
 		for k := 0; k < 7; k++ {
-			b.Receive(a.MakeMessage(1))
-			a.Receive(b.MakeMessage(0))
+			b.Receive(push(a, 1))
+			a.Receive(push(b, 0))
 		}
-		beforeA, beforeB := a.LocalValue(), b.LocalValue()
+		beforeA, beforeB := localValue(a), localValue(b)
 		a.OnLinkFailure(1)
 		b.OnLinkFailure(0)
-		if !a.LocalValue().Equal(beforeA) {
+		if !localValue(a).Equal(beforeA) {
 			t.Fatalf("%v: link failure moved node 0 estimate %v → %v",
-				variant, beforeA, a.LocalValue())
+				variant, beforeA, localValue(a))
 		}
-		if !b.LocalValue().Equal(beforeB) {
+		if !localValue(b).Equal(beforeB) {
 			t.Fatalf("%v: link failure moved node 1 estimate %v → %v",
-				variant, beforeB, b.LocalValue())
+				variant, beforeB, localValue(b))
 		}
 		if !a.Flow(1).IsZero() {
 			t.Fatalf("%v: slots not zeroed", variant)
@@ -224,7 +238,7 @@ func TestMassConservedThroughLinkFailure(t *testing.T) {
 func TestReceiveScreensCorruption(t *testing.T) {
 	a := New(VariantEfficient)
 	a.Reset(0, []int32{1}, gossip.Scalar(8, 1))
-	before := a.LocalValue()
+	before := localValue(a)
 	phi := a.Phi()
 	// NaN payload.
 	a.Receive(gossip.Message{From: 1, To: 0,
@@ -238,7 +252,7 @@ func TestReceiveScreensCorruption(t *testing.T) {
 	// Unknown sender.
 	a.Receive(gossip.Message{From: 5, To: 0,
 		Flow1: gossip.Scalar(1, 0), Flow2: gossip.Scalar(0, 0), C: 1, R: 1})
-	if !a.LocalValue().Equal(before) || !a.Phi().Equal(phi) {
+	if !localValue(a).Equal(before) || !a.Phi().Equal(phi) {
 		t.Fatal("corrupted message mutated state")
 	}
 }
@@ -255,8 +269,8 @@ func TestCorruptedPassiveWithPeerAheadIgnored(t *testing.T) {
 	a.Reset(0, []int32{1}, gossip.Scalar(8, 1))
 	b.Reset(1, []int32{0}, gossip.Scalar(0, 1))
 	for k := 0; k < 4; k++ {
-		b.Receive(a.MakeMessage(1))
-		a.Receive(b.MakeMessage(0))
+		b.Receive(push(a, 1))
+		a.Receive(push(b, 0))
 	}
 	// Craft the message an honest peer-one-ahead would send (same c,
 	// r = ours+1, passive truly zero), then corrupt the passive floats.
@@ -400,7 +414,7 @@ func TestSendToNonNeighborPanics(t *testing.T) {
 			t.Fatal("must panic")
 		}
 	}()
-	a.MakeMessage(9)
+	push(a, 9)
 }
 
 func TestAccessors(t *testing.T) {
@@ -409,7 +423,7 @@ func TestAccessors(t *testing.T) {
 	if !a.Phi().IsZero() {
 		t.Fatal("initial ϕ must be zero")
 	}
-	a.MakeMessage(1)
+	push(a, 1)
 	if a.Phi().IsZero() {
 		t.Fatal("efficient ϕ must track the virtual send")
 	}
@@ -424,10 +438,10 @@ func TestAccessors(t *testing.T) {
 func TestResetReuse(t *testing.T) {
 	a := New(VariantRobust)
 	a.Reset(0, []int32{1}, gossip.Scalar(8, 1))
-	a.MakeMessage(1)
+	push(a, 1)
 	a.OnLinkFailure(1)
 	a.Reset(5, []int32{6, 7}, gossip.Scalar(3, 1))
-	if lv := a.LocalValue(); lv.X[0] != 3 || lv.W != 1 {
+	if lv := localValue(a); lv.X[0] != 3 || lv.W != 1 {
 		t.Fatalf("after Reset: %v", lv)
 	}
 	if len(a.LiveNeighbors()) != 2 {
@@ -448,15 +462,15 @@ func TestEvictReintegrateConservesMass(t *testing.T) {
 		a.Reset(0, []int32{1}, gossip.Scalar(8, 1))
 		b.Reset(1, []int32{0}, gossip.Scalar(0, 1))
 		for k := 0; k < 6; k++ {
-			b.Receive(a.MakeMessage(1))
-			a.Receive(b.MakeMessage(0))
+			b.Receive(push(a, 1))
+			a.Receive(push(b, 0))
 		}
 
 		// a falsely suspects b: one-sided eviction. The absorb semantics
 		// keep a's estimate unchanged.
-		before := a.Estimate()[0]
+		before := a.EstimateInto(nil)[0]
 		a.OnLinkFailure(1)
-		if after := a.Estimate()[0]; math.Abs(after-before) > 1e-15 {
+		if after := a.EstimateInto(nil)[0]; math.Abs(after-before) > 1e-15 {
 			t.Fatalf("%v: eviction moved the estimate %.17g -> %.17g", variant, before, after)
 		}
 		if len(a.LiveNeighbors()) != 0 {
@@ -471,14 +485,14 @@ func TestEvictReintegrateConservesMass(t *testing.T) {
 			t.Fatalf("%v: reintegrated neighbor not live", variant)
 		}
 		for k := 0; k < 40; k++ {
-			a.Receive(b.MakeMessage(0))
-			b.Receive(a.MakeMessage(1))
+			a.Receive(push(b, 0))
+			b.Receive(push(a, 1))
 		}
-		ea, eb := a.Estimate()[0], b.Estimate()[0]
+		ea, eb := a.EstimateInto(nil)[0], b.EstimateInto(nil)[0]
 		if math.Abs(ea-4) > 1e-9 || math.Abs(eb-4) > 1e-9 {
 			t.Fatalf("%v: estimates %.12f %.12f after reintegration, want 4", variant, ea, eb)
 		}
-		ma, mb := a.LocalValue(), b.LocalValue()
+		ma, mb := localValue(a), localValue(b)
 		if total := ma.X[0] + mb.X[0]; math.Abs(total-8) > 1e-12 {
 			t.Fatalf("%v: mass not conserved after evict/reintegrate: %.15f", variant, total)
 		}
@@ -494,18 +508,18 @@ func TestSymmetricEvictReintegrate(t *testing.T) {
 		a.Reset(0, []int32{1}, gossip.Scalar(8, 1))
 		b.Reset(1, []int32{0}, gossip.Scalar(0, 1))
 		for k := 0; k < 6; k++ {
-			b.Receive(a.MakeMessage(1))
-			a.Receive(b.MakeMessage(0))
+			b.Receive(push(a, 1))
+			a.Receive(push(b, 0))
 		}
 		a.OnLinkFailure(1)
 		b.OnLinkFailure(0)
 		a.OnLinkRecover(1)
 		b.OnLinkRecover(0)
 		for k := 0; k < 40; k++ {
-			b.Receive(a.MakeMessage(1))
-			a.Receive(b.MakeMessage(0))
+			b.Receive(push(a, 1))
+			a.Receive(push(b, 0))
 		}
-		ea, eb := a.Estimate()[0], b.Estimate()[0]
+		ea, eb := a.EstimateInto(nil)[0], b.EstimateInto(nil)[0]
 		if math.Abs(ea-4) > 1e-6 || math.Abs(eb-4) > 1e-6 {
 			t.Fatalf("%v: estimates %.9f %.9f after symmetric reintegration", variant, ea, eb)
 		}

@@ -111,13 +111,6 @@ func (n *Node) Reset(node int, neighbors []int32, init gossip.Value) {
 	}
 }
 
-// local returns eᵢ = vᵢ − Σ_j f(i,j).
-func (n *Node) local() gossip.Value {
-	var e gossip.Value
-	n.localInto(&e)
-	return e
-}
-
 // localInto computes eᵢ = vᵢ − Σ_j f(i,j) into dst without allocating
 // (beyond growing dst once to the value width).
 func (n *Node) localInto(dst *gossip.Value) {
@@ -151,18 +144,9 @@ func (n *Node) averagedInto(dst *gossip.Value) {
 	dst.W *= scale
 }
 
-// MakeMessage implements gossip.Protocol: move the target's estimate
+// FillMessage implements gossip.Protocol: move the target's estimate
 // toward the local average by adjusting the edge flow, then ship the
 // flow and the average.
-func (n *Node) MakeMessage(target int) gossip.Message {
-	msg := gossip.Message{From: n.id, To: target}
-	n.FillMessage(target, &msg)
-	return msg
-}
-
-// FillMessage implements gossip.MessageFiller: the allocation-free form
-// of MakeMessage (identical state transition, bit-identical wire
-// contents).
 func (n *Node) FillMessage(target int, msg *gossip.Message) {
 	k := n.indexOf(target)
 	if k < 0 {
@@ -199,17 +183,11 @@ func (n *Node) Receive(msg gossip.Message) {
 	n.known[k] = true
 }
 
-// Estimate implements gossip.Protocol.
-func (n *Node) Estimate() []float64 { return n.local().Estimate() }
-
-// EstimateInto implements gossip.Estimator.
+// EstimateInto implements gossip.Protocol.
 func (n *Node) EstimateInto(dst []float64) []float64 {
 	n.localInto(&n.scrLocal)
 	return n.scrLocal.EstimateInto(dst)
 }
-
-// LocalValue implements gossip.Protocol.
-func (n *Node) LocalValue() gossip.Value { return n.local() }
 
 // OnLinkFailure implements gossip.Protocol: zero the edge flow, forget
 // the neighbor's estimate and stop using the link.
@@ -222,7 +200,7 @@ func (n *Node) OnLinkFailure(neighbor int) {
 	n.live = remove(n.live, int32(neighbor))
 }
 
-// OnLinkRecover implements gossip.Reintegrator: re-admit a neighbor
+// OnLinkRecover implements gossip.Protocol: re-admit a neighbor
 // evicted by OnLinkFailure. The edge restarts with a zero flow and no
 // remembered estimate, exactly as after Reset; the averaging dynamics
 // re-learn the neighbor's state from its next message.
@@ -258,11 +236,10 @@ func (n *Node) FlowView(neighbor int) (gossip.Value, bool) {
 	return gossip.Value{}, false
 }
 
-// LocalValueInto implements gossip.MassReader: LocalValue without the
-// allocation.
+// LocalValueInto implements gossip.Protocol.
 func (n *Node) LocalValueInto(dst *gossip.Value) { n.localInto(dst) }
 
-// OnNeighborJoin implements gossip.OpenMembership: admit a brand-new
+// OnNeighborJoin implements gossip.Protocol: admit a brand-new
 // neighbor with a zero flow and no remembered estimate (mass-neutral by
 // construction). The backing stores flows then estimates, so growing
 // the degree shifts the estimate region; both regions are copied into
@@ -290,7 +267,7 @@ func (n *Node) OnNeighborJoin(neighbor int) {
 	n.live = append(n.live, int32(neighbor))
 }
 
-// AbsorbMass implements gossip.OpenMembership: fold a gracefully
+// AbsorbMass implements gossip.Protocol: fold a gracefully
 // departing neighbor's surplus into this node's own contribution.
 func (n *Node) AbsorbMass(v gossip.Value) {
 	n.init.AddInPlace(v)
@@ -327,7 +304,7 @@ func sameInt32s(a, b []int32) bool {
 	return true
 }
 
-// SetInput implements gossip.DynamicInput: live-monitoring input change.
+// SetInput implements gossip.Protocol: live-monitoring input change.
 func (n *Node) SetInput(v gossip.Value) {
 	n.init.Set(v)
 }

@@ -1,16 +1,16 @@
 package flowupdate
 
-// Checkpoint support (gossip.Snapshotter): Flow Updating's mutable
-// state is the input value, the flat backing holding flows and
-// last-reported neighbor estimates, their per-value weights, the known
-// flags, and the live list. The live list must round-trip verbatim —
-// averagedInto iterates it in order, so the floating-point averaging
-// result depends on it. Scratch values are fully overwritten before
-// every use and are not saved.
+// Checkpoint support (gossip.Protocol.SaveState and LoadState): Flow
+// Updating's mutable state is the input value, the flat backing
+// holding flows and last-reported neighbor estimates, their per-value
+// weights, the known flags, and the live list. The live list must
+// round-trip verbatim — averagedInto iterates it in order, so the
+// floating-point averaging result depends on it. Scratch values are
+// fully overwritten before every use and are not saved.
 
 import "pcfreduce/internal/gossip"
 
-// SaveState implements gossip.Snapshotter.
+// SaveState implements gossip.Protocol.
 func (n *Node) SaveState(w *gossip.StateWriter) {
 	w.PutValue(n.init)
 	w.PutF64s(n.backing)
@@ -22,7 +22,7 @@ func (n *Node) SaveState(w *gossip.StateWriter) {
 	w.PutI32s(n.live)
 }
 
-// LoadState implements gossip.Snapshotter. The node must have been
+// LoadState implements gossip.Protocol. The node must have been
 // Reset with the same (id, neighbors, width) the snapshot was taken
 // under; failures surface via the reader's sticky error.
 func (n *Node) LoadState(r *gossip.StateReader) {

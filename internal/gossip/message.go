@@ -83,13 +83,19 @@ func (m Message) String() string {
 // algorithm. One Protocol instance exists per node; the engines
 // (internal/sim for deterministic rounds, internal/runtime for
 // asynchronous goroutine execution) own the communication schedule and
-// drive the instances.
+// drive the instances. All four reduction protocols in this repository
+// (push-sum, push-flow, push-cancel-flow and Flow Updating) implement
+// the whole contract, so engines call every method directly.
 //
 // The engine — not the protocol — draws which neighbor a node pushes to
 // in each activation. This guarantees that two different algorithms run
 // with the same seed see bit-identical communication schedules, which the
 // paper relies on when comparing PF and PCF failure handling (Figs. 4
 // and 7 "initially used exactly the same random seed").
+//
+// Every read method is allocation-free: FillMessage, EstimateInto and
+// LocalValueInto write into caller-owned buffers, so an engine can run a
+// million nodes without per-node garbage.
 type Protocol interface {
 	// Reset (re)initializes the node with its id, immutable neighbor
 	// list and initial (value, weight) pair. The neighbor list uses the
@@ -99,26 +105,42 @@ type Protocol interface {
 	// reused instances.
 	Reset(node int, neighbors []int32, init Value)
 
-	// MakeMessage produces the message this node would push to the given
-	// neighbor now, applying any local state updates the protocol's send
-	// step prescribes (e.g. PF's "virtual send" f ← f + e/2). The target
-	// must be one of the node's live neighbors.
-	MakeMessage(target int) Message
+	// FillMessage writes the message this node pushes to the given
+	// neighbor now into msg, applying any local state updates the
+	// protocol's send step prescribes (e.g. PF's "virtual send"
+	// f ← f + e/2). The target must be one of the node's live
+	// neighbors.
+	//
+	// msg is either a fresh Message{From, To} or a recycled,
+	// engine-pooled one whose header, control pair and full-width flows
+	// hold whatever its previous use left (a keepalive, another node's
+	// push). Either way FillMessage writes the whole message: From (this
+	// node), To, Kind (KindData), and C and R, which are zero unless the
+	// protocol uses them. It fills the flows it uses through the
+	// existing backing arrays (Value.Set / Value.CopyFrom) and
+	// truncates any unused flow to zero width (msg.FlowN.X =
+	// msg.FlowN.X[:0], W = 0), so that width checks and bit-flip
+	// injectors see the same message whether msg was fresh or recycled.
+	FillMessage(target int, msg *Message)
 
 	// Receive processes a delivered message. The message may have been
 	// corrupted or duplicated by fault injection; protocols must not
-	// panic on malformed contents.
+	// panic on malformed contents. Receive never keeps a reference to
+	// the message's backing arrays: the engine recycles them as soon as
+	// Receive returns.
 	Receive(msg Message)
 
-	// Estimate returns the node's current estimate of the global
-	// aggregate (component-wise X/W of its local mass).
-	Estimate() []float64
+	// EstimateInto writes the node's current estimate of the global
+	// aggregate (component-wise X/W of its local mass) into dst,
+	// reusing its backing array when capacity suffices, and returns the
+	// slice. EstimateInto(nil) allocates a fresh one.
+	EstimateInto(dst []float64) []float64
 
-	// LocalValue returns the node's current local mass (value and
-	// weight), i.e. its initial data minus outstanding flows. Σ over all
-	// nodes of LocalValue is the conserved global mass when flow
-	// conservation holds.
-	LocalValue() Value
+	// LocalValueInto writes the node's current local mass (value and
+	// weight), i.e. its initial data minus outstanding flows, into dst,
+	// reusing dst's backing. Σ over all nodes of the local mass is the
+	// conserved global mass when flow conservation holds.
+	LocalValueInto(dst *Value)
 
 	// OnLinkFailure informs the node that the link to the given neighbor
 	// has permanently failed. The protocol excludes the neighbor from
@@ -126,47 +148,60 @@ type Protocol interface {
 	// flow variables, per Section II-A of the paper).
 	OnLinkFailure(neighbor int)
 
+	// OnLinkRecover undoes OnLinkFailure's exclusion, for self-healing
+	// engines whose failure detector evicted a neighbor on suspicion
+	// and sees its traffic resume (the suspicion was false, or the
+	// outage was transient). The neighbor rejoins LiveNeighbors and the
+	// per-edge flow state restarts from zero on both endpoints — a
+	// fresh edge carries no mass, so reintegration is exactly as cheap
+	// as PCF's failure handling. Calling it for a live (or unknown)
+	// neighbor is a no-op.
+	OnLinkRecover(neighbor int)
+
 	// LiveNeighbors returns the neighbors not excluded by OnLinkFailure,
 	// in stable order. The engine draws push targets from this set.
 	LiveNeighbors() []int32
-}
 
-// Reintegrator is an optional Protocol extension for self-healing
-// engines: a failure detector that evicted a neighbor on suspicion can
-// restore it when traffic resumes (the suspicion was false, or the
-// outage was transient). OnLinkRecover undoes OnLinkFailure's exclusion:
-// the neighbor rejoins LiveNeighbors and the per-edge flow state restarts
-// from zero on both endpoints — a fresh edge carries no mass, so
-// reintegration is exactly as cheap as PCF's failure handling. All
-// protocols in this repository implement it.
-type Reintegrator interface {
-	// OnLinkRecover restores a neighbor previously excluded by
-	// OnLinkFailure. Calling it for a live (or unknown) neighbor is a
-	// no-op.
-	OnLinkRecover(neighbor int)
-}
+	// OnNeighborJoin admits a brand-new neighbor (one that was NOT in
+	// the Reset neighbor list), for open-world churn: the protocol grows
+	// its per-edge state by one zero-flow edge and appends the neighbor
+	// to its live list. A zero flow carries no mass, so admitting an
+	// edge is mass-neutral by construction. Engines call it on both
+	// endpoints of every edge created by a join or a rewire.
+	OnNeighborJoin(neighbor int)
 
-// MessageFiller is an optional Protocol extension for allocation-free
-// engines: instead of returning a freshly allocated Message, the
-// protocol fills an engine-pooled one in place. The engine pre-sets
-// From, To, Kind (KindData) and zeroes C and R; the protocol overwrites
-// the payload fields it uses. FillMessage must be numerically identical
-// to MakeMessage — same state transition, bit-identical wire contents —
-// and must leave any unused flow truncated to zero width
-// (msg.FlowN.X = msg.FlowN.X[:0], W = 0) so that width checks and
-// bit-flip injectors observe exactly the shape MakeMessage produces.
-// The pooled message's flow backing arrays have the engine's value
-// width; protocols reuse them via Value.Set / Value.CopyFrom.
-type MessageFiller interface {
-	FillMessage(target int, msg *Message)
-}
+	// AbsorbMass folds v into the node's own initial contribution,
+	// raising its local mass (and nothing else — flows, ϕ and live
+	// lists are untouched). Engines use it to hand a gracefully
+	// departing neighbor's surplus to a survivor, keeping the global
+	// mass over the live roster exact across the departure. It differs
+	// from SetInput, which replaces the input; AbsorbMass adds to it,
+	// and the engine's oracle keeps attributing the mass to the node
+	// that first contributed it.
+	AbsorbMass(v Value)
 
-// Estimator is an optional Protocol extension for allocation-free
-// engines: EstimateInto writes the node's current estimate into dst
-// (reusing its backing array when capacity suffices) and returns the
-// slice, avoiding Estimate's per-call allocation on oracle error scans.
-type Estimator interface {
-	EstimateInto(dst []float64) []float64
+	// SetInput replaces the node's current input value while the
+	// reduction runs — live monitoring (the paper's reference [8],
+	// LiMoSense): the network's estimates re-converge to the new
+	// aggregate without a restart. The weight component must equal the
+	// original weight (the aggregate's weighting scheme is fixed at
+	// Reset). Flow-based algorithms shift only the local mass; push-sum
+	// adds the input delta to its current mass, so under message loss
+	// the adjustment is as fragile as the rest of its mass.
+	SetInput(v Value)
+
+	// SaveState appends every piece of mutable protocol state to the
+	// writer in a fixed order, for checkpointing.
+	SaveState(w *StateWriter)
+
+	// LoadState reads SaveState's streams back in the same order into a
+	// node that has been Reset with the identical (id, neighbors, init
+	// width) — fully overwriting the post-Reset state, so
+	// Reset-then-LoadState reproduces the saved node bit for bit
+	// (including the verbatim live-neighbor order, which protocols whose
+	// floating-point results depend on iteration order must preserve).
+	// Failures are reported through the reader's sticky error.
+	LoadState(r *StateReader)
 }
 
 // Flows is an optional interface exposing a protocol's per-neighbor flow
@@ -178,16 +213,6 @@ type Flows interface {
 	// attributed to that edge is not meaningful, so PCF returns the sum
 	// of the two live slots).
 	Flow(neighbor int) Value
-}
-
-// MassReader is an optional Protocol extension for allocation-free
-// invariant probes: LocalValueInto writes the node's current local mass
-// (the LocalValue result) into dst, reusing dst's backing, instead of
-// allocating a fresh Value. The metrics layer sums these across a
-// million nodes every probe, so the per-node allocation of LocalValue
-// would dominate; all protocols in this repository implement it.
-type MassReader interface {
-	LocalValueInto(dst *Value)
 }
 
 // FlowViewer is an optional Flows refinement for allocation-free

@@ -104,15 +104,8 @@ func (n *Node) Reset(node int, neighbors []int32, init gossip.Value) {
 	}
 }
 
-// local returns the node's current mass vᵢ − Σ_j f(i,j).
-func (n *Node) local() gossip.Value {
-	var e gossip.Value
-	n.localInto(&e)
-	return e
-}
-
-// localInto computes the node's current mass into dst without allocating
-// (beyond growing dst once to the value width).
+// localInto computes the node's current mass vᵢ − Σ_j f(i,j) into dst
+// without allocating (beyond growing dst once to the value width).
 func (n *Node) localInto(dst *gossip.Value) {
 	dst.Set(n.init)
 	for k := range n.flowList {
@@ -120,17 +113,8 @@ func (n *Node) localInto(dst *gossip.Value) {
 	}
 }
 
-// MakeMessage implements gossip.Protocol: virtual-send half the local
+// FillMessage implements gossip.Protocol: virtual-send half the local
 // mass into f(i,k), then physically send the whole flow variable.
-func (n *Node) MakeMessage(target int) gossip.Message {
-	msg := gossip.Message{From: n.id, To: target}
-	n.FillMessage(target, &msg)
-	return msg
-}
-
-// FillMessage implements gossip.MessageFiller: the allocation-free form
-// of MakeMessage, performing the identical state transition and
-// producing bit-identical wire contents into a pooled message.
 func (n *Node) FillMessage(target int, msg *gossip.Message) {
 	k := n.indexOf(target)
 	if k < 0 {
@@ -166,17 +150,11 @@ func (n *Node) Receive(msg gossip.Message) {
 	f.SetNeg(msg.Flow1)
 }
 
-// Estimate implements gossip.Protocol.
-func (n *Node) Estimate() []float64 { return n.local().Estimate() }
-
-// EstimateInto implements gossip.Estimator.
+// EstimateInto implements gossip.Protocol.
 func (n *Node) EstimateInto(dst []float64) []float64 {
 	n.localInto(&n.scratch)
 	return n.scratch.EstimateInto(dst)
 }
-
-// LocalValue implements gossip.Protocol.
-func (n *Node) LocalValue() gossip.Value { return n.local() }
 
 // OnLinkFailure implements gossip.Protocol: algorithmically exclude the
 // failed link by zeroing its flow variable (paper Sec. II-A). This is
@@ -189,7 +167,7 @@ func (n *Node) OnLinkFailure(neighbor int) {
 	n.live = remove(n.live, int32(neighbor))
 }
 
-// OnLinkRecover implements gossip.Reintegrator: re-admit a neighbor
+// OnLinkRecover implements gossip.Protocol: re-admit a neighbor
 // evicted by OnLinkFailure. The flow variable restarts from zero — for
 // PF the peer's mirror was (or will be, once it reintegrates us) zeroed
 // too, and the first exchange overwrites both halves anyway, so the edge
@@ -225,11 +203,10 @@ func (n *Node) FlowView(neighbor int) (gossip.Value, bool) {
 	return gossip.Value{}, false
 }
 
-// LocalValueInto implements gossip.MassReader: LocalValue without the
-// allocation.
+// LocalValueInto implements gossip.Protocol.
 func (n *Node) LocalValueInto(dst *gossip.Value) { n.localInto(dst) }
 
-// OnNeighborJoin implements gossip.OpenMembership: admit a brand-new
+// OnNeighborJoin implements gossip.Protocol: admit a brand-new
 // neighbor with a zero-flow edge (mass-neutral by construction). The
 // flow backing grows by one slot; all X views are rebuilt over the new
 // backing. An edge recreated onto a neighbor we already know reduces to
@@ -252,7 +229,7 @@ func (n *Node) OnNeighborJoin(neighbor int) {
 	n.live = append(n.live, int32(neighbor))
 }
 
-// AbsorbMass implements gossip.OpenMembership: fold a gracefully
+// AbsorbMass implements gossip.Protocol: fold a gracefully
 // departing neighbor's surplus into this node's own contribution. Flows
 // are untouched, so the local estimate rises by exactly v.
 func (n *Node) AbsorbMass(v gossip.Value) {
@@ -290,7 +267,7 @@ func sameInt32s(a, b []int32) bool {
 	return true
 }
 
-// SetInput implements gossip.DynamicInput: live-monitoring input change.
+// SetInput implements gossip.Protocol: live-monitoring input change.
 // Flows are untouched; the local estimate shifts by the input delta and
 // the network re-averages it.
 func (n *Node) SetInput(v gossip.Value) {

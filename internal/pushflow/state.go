@@ -1,14 +1,14 @@
 package pushflow
 
-// Checkpoint support (gossip.Snapshotter): push-flow's mutable state is
-// the input value, the flat flow backing plus per-flow weights, and the
-// live list, serialized verbatim to preserve the engine's target-draw
-// indexing across a restore. Scratch is fully overwritten before every
-// use and is not saved.
+// Checkpoint support (gossip.Protocol.SaveState and LoadState):
+// push-flow's mutable state is the input value, the flat flow backing
+// plus per-flow weights, and the live list, serialized verbatim to
+// preserve the engine's target-draw indexing across a restore.
+// Scratch is fully overwritten before every use and is not saved.
 
 import "pcfreduce/internal/gossip"
 
-// SaveState implements gossip.Snapshotter.
+// SaveState implements gossip.Protocol.
 func (n *Node) SaveState(w *gossip.StateWriter) {
 	w.PutValue(n.init)
 	w.PutF64s(n.backing)
@@ -18,7 +18,7 @@ func (n *Node) SaveState(w *gossip.StateWriter) {
 	w.PutI32s(n.live)
 }
 
-// LoadState implements gossip.Snapshotter. The node must have been
+// LoadState implements gossip.Protocol. The node must have been
 // Reset with the same (id, neighbors, width) the snapshot was taken
 // under; failures surface via the reader's sticky error.
 func (n *Node) LoadState(r *gossip.StateReader) {

@@ -88,8 +88,6 @@ func (net *Network) setupDetector(nd *node, at float64) {
 	neighbors := net.neighborRow(nd.id)
 	nd.mu.Lock()
 	nd.det = detect.New(dc.detectConfig(), neighbors, at)
-	_, reint := nd.proto.(gossip.Reintegrator)
-	nd.canReint = reint && !dc.DisableReintegration
 	nd.lastSent = make(map[int]float64, len(neighbors))
 	nd.mu.Unlock()
 }
@@ -99,7 +97,7 @@ func (net *Network) setupDetector(nd *node, at float64) {
 // (weight 1, average aggregate), and peers are the existing nodes it
 // attaches to. The new node's protocol instance comes from
 // Config.NewProtocol; each peer admits the newcomer through the
-// mass-neutral gossip.OpenMembership handshake, so the join changes the
+// mass-neutral OnNeighborJoin handshake, so the join changes the
 // oracle aggregate only by the declared (value, 1) contribution. When
 // the network is running the node's goroutine starts immediately.
 func (net *Network) JoinNode(id int, value float64, peers []int) {
@@ -152,9 +150,7 @@ func (net *Network) JoinNode(id int, value float64, peers []int) {
 		pn := net.node(p)
 		pn.mu.Lock()
 		if !pn.crashed {
-			if om, ok := pn.proto.(gossip.OpenMembership); ok {
-				om.OnNeighborJoin(id)
-			}
+			pn.proto.OnNeighborJoin(id)
 			if pn.det != nil {
 				pn.det.AddNeighbor(id, now)
 			}
@@ -187,7 +183,7 @@ func (net *Network) JoinNode(id int, value float64, peers []int) {
 // (the heir), whose oracle init is credited with the same amount. The
 // departed node then falls permanently silent; late traffic from it is
 // ignored. No-op on a node that is already crashed or departed. With no
-// live OpenMembership neighbor the surplus is lost (event heir −1),
+// live neighbor the surplus is lost (event heir −1),
 // mirroring an isolated node's crash.
 func (net *Network) LeaveNode(i int) {
 	nd := net.node(i)
@@ -244,13 +240,8 @@ drain:
 	// Measure the surplus and silence the node in one critical section:
 	// after this it neither sends nor processes.
 	nd.mu.Lock()
-	var lv gossip.Value
-	if mr, ok := nd.proto.(gossip.MassReader); ok {
-		mr.LocalValueInto(&lv)
-	} else {
-		lv = nd.proto.LocalValue().Clone()
-	}
-	surplus := lv.Clone()
+	var surplus gossip.Value
+	nd.proto.LocalValueInto(&surplus)
 	surplus.SubInPlace(nd.init)
 	nd.crashed = true
 	nd.silent = true
@@ -261,7 +252,7 @@ drain:
 	net.departedMu.Unlock()
 
 	// Hand the surplus to the lowest-id live neighbor. This is a pure
-	// redistribution — the survivors already hold Σ init − LocalValue(i)
+	// redistribution — the survivors already hold Σ init minus i's local mass
 	// after the loss-free teardown, so absorbing the surplus lands them
 	// on exactly the survivor-roster Σ init. The heir's oracle init is
 	// therefore deliberately not credited.
@@ -273,14 +264,10 @@ drain:
 			continue
 		}
 		jn.mu.Lock()
-		if om, ok := jn.proto.(gossip.OpenMembership); ok {
-			om.AbsorbMass(surplus)
-			heir = j
-		}
+		jn.proto.AbsorbMass(surplus)
 		jn.mu.Unlock()
-		if heir >= 0 {
-			break
-		}
+		heir = j
+		break
 	}
 
 	// Remove the edges from the overlay and drop stale per-link state so
@@ -361,9 +348,7 @@ func (net *Network) RewireEdge(a, b, c int) {
 		}
 		n.mu.Lock()
 		if !n.crashed {
-			if om, ok := n.proto.(gossip.OpenMembership); ok {
-				om.OnNeighborJoin(other)
-			}
+			n.proto.OnNeighborJoin(other)
 			if n.det != nil {
 				n.det.AddNeighbor(other, now)
 			}

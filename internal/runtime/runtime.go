@@ -22,7 +22,7 @@
 // oracle-free stack: per-neighbor liveness tracked from traffic plus
 // keepalives, suspicion by fixed timeout or φ-accrual, eviction through
 // the protocols' cheap PCF-style recovery path, and reintegration (via
-// gossip.Reintegrator) when a suspected neighbor's traffic resumes — so
+// OnLinkRecover) when a suspected neighbor's traffic resumes — so
 // transient outages and false suspicions heal instead of permanently
 // shrinking the graph.
 //
@@ -107,8 +107,7 @@ type DetectorConfig struct {
 	ProbeInterval time.Duration
 	// DisableReintegration makes every suspicion permanent: the first
 	// eviction withdraws the neighbor for good, as an oracle notification
-	// would. Suspicions of protocols that do not implement
-	// gossip.Reintegrator are always permanent.
+	// would.
 	DisableReintegration bool
 }
 
@@ -313,7 +312,6 @@ type node struct {
 	hung       bool // transiently frozen: no processing, no sending, state kept
 	rec        *metrics.Recorder
 	det        *detect.Detector
-	canReint   bool
 	lastSent   map[int]float64 // per-neighbor time of last send (detector clock)
 	keepalives int
 	ckpt       *gossip.State // last CheckpointNode state; nil until one is taken
@@ -615,23 +613,17 @@ func (net *Network) ResumeNode(i int) {
 
 // CheckpointNode freezes node i's current protocol state as its local
 // crash-restart checkpoint — the save point RestartNode revives from.
-// No-op when the protocol does not implement gossip.Snapshotter.
 func (net *Network) CheckpointNode(i int) {
 	nd := net.node(i)
 	if nd == nil {
 		return
 	}
 	nd.mu.Lock()
-	snap, ok := nd.proto.(gossip.Snapshotter)
-	if ok {
-		w := &gossip.StateWriter{}
-		snap.SaveState(w)
-		nd.ckpt = &w.State
-	}
+	w := &gossip.StateWriter{}
+	nd.proto.SaveState(w)
+	nd.ckpt = &w.State
 	nd.mu.Unlock()
-	if ok {
-		net.noteEvent(metrics.EvNodeCheckpoint, i, -1)
-	}
+	net.noteEvent(metrics.EvNodeCheckpoint, i, -1)
 }
 
 // RestartNode revives a crashed node from its last CheckpointNode state
@@ -672,9 +664,7 @@ drain:
 	neighbors := net.neighborRow(nd.id)
 	nd.proto.Reset(nd.id, neighbors, nd.init.Clone())
 	if nd.ckpt != nil {
-		if snap, ok := nd.proto.(gossip.Snapshotter); ok {
-			snap.LoadState(gossip.NewStateReader(*nd.ckpt))
-		}
+		nd.proto.LoadState(gossip.NewStateReader(*nd.ckpt))
 	}
 	if dc := net.cfg.Detector; dc != nil && nd.det != nil {
 		nd.det = detect.New(dc.detectConfig(), neighbors, net.now())
@@ -706,7 +696,7 @@ func (net *Network) Estimates() [][]float64 {
 			}
 			out[i] = est
 		} else {
-			out[i] = nd.proto.Estimate()
+			out[i] = nd.proto.EstimateInto(nil)
 		}
 		nd.mu.Unlock()
 	}
@@ -1069,11 +1059,7 @@ func (net *Network) massResidual() (mass, inflight float64) {
 			nd.mu.Unlock()
 			continue
 		}
-		if mr, ok := nd.proto.(gossip.MassReader); ok {
-			mr.LocalValueInto(&local)
-		} else {
-			local = nd.proto.LocalValue()
-		}
+		nd.proto.LocalValueInto(&local)
 		initW := nd.init.W
 		nd.mu.Unlock()
 		w0.Add(initW)
@@ -1135,7 +1121,7 @@ func (net *Network) nodeLoop(ctx context.Context, nd *node) {
 		if nd.det != nil && !nd.crashed {
 			for _, j := range nd.det.Check(now) {
 				nd.proto.OnLinkFailure(j)
-				if !nd.canReint {
+				if net.cfg.Detector.DisableReintegration {
 					nd.det.Remove(j)
 				}
 				if nd.rec != nil {
@@ -1150,7 +1136,8 @@ func (net *Network) nodeLoop(ctx context.Context, nd *node) {
 			// Push to one random live neighbor (crashed nodes fall silent
 			// but keep draining their inbox so notifications don't block).
 			if live := nd.proto.LiveNeighbors(); len(live) > 0 {
-				msg := nd.proto.MakeMessage(int(live[nd.rng.Intn(len(live))]))
+				msg := gossip.Message{From: nd.id, To: int(live[nd.rng.Intn(len(live))])}
+				nd.proto.FillMessage(msg.To, &msg)
 				if nd.lastSent != nil {
 					nd.lastSent[msg.To] = now
 				}
@@ -1224,29 +1211,27 @@ func (net *Network) receive(nd *node, msg gossip.Message) {
 			nd.det.Remove(msg.From)
 		}
 	case gossip.KindKeepalive:
-		nd.heardLocked(msg.From, now)
+		net.heardLocked(nd, msg.From, now)
 	default:
 		if nd.det != nil && nd.det.Removed(msg.From) {
 			return // late traffic from an authoritatively failed neighbor
 		}
-		nd.heardLocked(msg.From, now)
+		net.heardLocked(nd, msg.From, now)
 		nd.proto.Receive(msg)
 	}
 }
 
-// heardLocked feeds the detector and performs reintegration when a
+// heardLocked feeds nd's detector and performs reintegration when a
 // suspected neighbor's traffic resumes. Caller holds nd.mu.
-func (nd *node) heardLocked(from int, now float64) {
+func (net *Network) heardLocked(nd *node, from int, now float64) {
 	if nd.det == nil {
 		return
 	}
-	if nd.det.Heard(from, now) && nd.canReint {
-		if r, ok := nd.proto.(gossip.Reintegrator); ok {
-			r.OnLinkRecover(from)
-			if nd.rec != nil {
-				nd.rec.IncShared(metrics.Reintegrations)
-				nd.rec.RecordEvent(metrics.Event{Kind: metrics.EvLinkReintegrated, Round: -1, TimeS: now, A: nd.id, B: from})
-			}
+	if nd.det.Heard(from, now) && !net.cfg.Detector.DisableReintegration {
+		nd.proto.OnLinkRecover(from)
+		if nd.rec != nil {
+			nd.rec.IncShared(metrics.Reintegrations)
+			nd.rec.RecordEvent(metrics.Event{Kind: metrics.EvLinkReintegrated, Round: -1, TimeS: now, A: nd.id, B: from})
 		}
 	}
 }

@@ -253,8 +253,8 @@ func TestSimDetectorDeterminism(t *testing.T) {
 	}
 }
 
-// Reintegration requires the protocol to implement gossip.Reintegrator;
-// the detector composes with plain push-sum too, where suspicion only
+// Reintegration goes through the protocol's OnLinkRecover; the
+// detector composes with plain push-sum too, where suspicion only
 // prunes the target set (membership) and reintegration restores it.
 func TestSimDetectorWithRobustVariant(t *testing.T) {
 	g := topology.Ring(8)

@@ -10,6 +10,20 @@ import (
 	"pcfreduce/internal/topology"
 )
 
+// push returns p's message to target, filled into a fresh message.
+func push(p gossip.Protocol, target int) gossip.Message {
+	var m gossip.Message
+	p.FillMessage(target, &m)
+	return m
+}
+
+// localValue returns p's current local mass.
+func localValue(p gossip.Protocol) gossip.Value {
+	var v gossip.Value
+	p.LocalValueInto(&v)
+	return v
+}
+
 // Live monitoring: after an input change mid-run, the oracle moves and
 // the flow protocols re-converge to the new aggregate.
 func TestUpdateInputReconverges(t *testing.T) {
@@ -98,12 +112,12 @@ func TestSetInputShiftsEstimateExactly(t *testing.T) {
 	b := core.NewEfficient()
 	b.Reset(1, []int32{0}, gossip.Scalar(2, 1))
 	for k := 0; k < 6; k++ {
-		b.Receive(a.MakeMessage(1))
-		a.Receive(b.MakeMessage(0))
+		b.Receive(push(a, 1))
+		a.Receive(push(b, 0))
 	}
-	before := a.LocalValue()
+	before := localValue(a)
 	a.SetInput(gossip.Scalar(10.5, 1))
-	after := a.LocalValue()
+	after := localValue(a)
 	if d := after.X[0] - before.X[0]; d != 2.5 {
 		t.Fatalf("estimate shifted by %g, want exactly 2.5", d)
 	}

@@ -129,7 +129,7 @@ func TestEventEngineDeterministic(t *testing.T) {
 		e.RunUntil(50, 0)
 		var out []float64
 		for _, p := range e.protos {
-			out = append(out, p.Estimate()[0])
+			out = append(out, p.EstimateInto(nil)[0])
 		}
 		return out
 	}

@@ -1,6 +1,10 @@
 package sim_test
 
 import (
+	"bytes"
+	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"pcfreduce/internal/core"
@@ -14,18 +18,6 @@ import (
 	"pcfreduce/internal/stats"
 	"pcfreduce/internal/topology"
 )
-
-// slowProto hides a protocol's optional fast-path interfaces
-// (gossip.MessageFiller, gossip.Estimator) behind an interface embedding,
-// forcing the engine onto the allocating MakeMessage/Estimate paths.
-// Reintegrator is forwarded so detector-driven reintegration still works.
-type slowProto struct{ gossip.Protocol }
-
-func (s slowProto) OnLinkRecover(neighbor int) {
-	if r, ok := s.Protocol.(gossip.Reintegrator); ok {
-		r.OnLinkRecover(neighbor)
-	}
-}
 
 var allProtocols = []struct {
 	name string
@@ -77,35 +69,104 @@ func sameEstimates(t *testing.T, label string, a, b [][]float64) {
 	}
 }
 
-// The allocation-free fast path (FillMessage + EstimateInto + pooled
-// messages) must be bit-identical to the allocating MakeMessage/Estimate
-// path: same wire contents, same state transitions, same recorded error
-// series — for every protocol, including under link failures and crashes.
-func TestFastPathMatchesSlowPath(t *testing.T) {
-	g := topology.Hypercube(4)
+// FillMessage into a recycled pooled message must match FillMessage
+// into a fresh gossip.Message{From, To}: same wire contents and the same
+// sender state afterwards. The recycled message carries what a previous
+// use leaves in the engine's free list — full-width flows holding
+// garbage, a stale control pair and a stale header — so a protocol that
+// leaves an unused flow untruncated, or reads a field it should
+// overwrite, is caught. Senders are cloned from a running engine (after
+// a link failure) so every protocol is checked in evolved states, not
+// just at Reset.
+func TestFillRecycledMatchesFresh(t *testing.T) {
+	g := topology.Hypercube(3)
 	n := g.N()
-	inputs := make([]float64, n)
-	for i := range inputs {
-		inputs[i] = float64(5*i%13) + 0.5
+	init := make([]gossip.Value, n)
+	for i := range init {
+		init[i] = gossip.Vector([]float64{float64(5*i%13) + 0.5, -float64(i)}, 1)
 	}
 	for _, tc := range allProtocols {
 		t.Run(tc.name, func(t *testing.T) {
-			fast := sim.NewScalar(g, fuzzProtos(n, tc.mk), inputs, gossip.Average, 99)
-			slow := sim.NewScalar(g, fuzzProtos(n, func() gossip.Protocol {
-				return slowProto{tc.mk()}
-			}), inputs, gossip.Average, 99)
-			if _, ok := fast.Protocol(0).(gossip.MessageFiller); !ok {
-				t.Fatalf("%s does not implement MessageFiller", tc.name)
+			e := sim.New(g, fuzzProtos(n, tc.mk), init, 99, sim.WithShards(1))
+			defer e.Close()
+			e.FailLink(0, 1)
+			clone := func(i int) gossip.Protocol {
+				var w gossip.StateWriter
+				e.Protocol(i).SaveState(&w)
+				p := tc.mk()
+				p.Reset(i, g.Neighbors(i), init[i].Clone())
+				r := gossip.NewStateReader(w.State)
+				p.LoadState(r)
+				if r.Err() != nil || !r.Exhausted() {
+					t.Fatalf("node %d: state does not round-trip (%v)", i, r.Err())
+				}
+				return p
 			}
-			if _, ok := slow.Protocol(0).(gossip.MessageFiller); ok {
-				t.Fatal("wrapper failed to hide MessageFiller")
+			for round := 0; round < 12; round++ {
+				for i := 0; i < n; i++ {
+					for _, j32 := range e.Protocol(i).LiveNeighbors() {
+						j := int(j32)
+						a, b := clone(i), clone(i)
+						fresh := gossip.Message{From: i, To: j}
+						a.FillMessage(j, &fresh)
+						recycled := dirtyMessage(init[0].Width())
+						b.FillMessage(j, recycled)
+						if err := sameWire(fresh, *recycled); err != "" {
+							t.Fatalf("round %d, %d→%d: %s", round, i, j, err)
+						}
+						var wa, wb gossip.StateWriter
+						a.SaveState(&wa)
+						b.SaveState(&wb)
+						if !sameState(wa.State, wb.State) {
+							t.Fatalf("round %d, %d→%d: sender state differs after a recycled fill", round, i, j)
+						}
+					}
+				}
+				e.Step()
 			}
-			resFast := faultyRun(fast)
-			resSlow := faultyRun(slow)
-			sameSeries(t, tc.name, resFast.Series, resSlow.Series)
-			sameEstimates(t, tc.name, fast.Estimates(), slow.Estimates())
 		})
 	}
+}
+
+// dirtyMessage returns a message in the shape the engine's free list
+// hands out after a previous use: flows restored to full width but
+// holding garbage, and a stale header and control pair.
+func dirtyMessage(width int) *gossip.Message {
+	m := &gossip.Message{From: 77, To: 78, Kind: gossip.KindKeepalive, C: 9, R: 123456}
+	m.Flow1 = gossip.NewValue(width)
+	m.Flow2 = gossip.NewValue(width)
+	for k := 0; k < width; k++ {
+		m.Flow1.X[k] = math.NaN()
+		m.Flow2.X[k] = 1e300
+	}
+	m.Flow1.W, m.Flow2.W = -3, math.Inf(1)
+	return m
+}
+
+// sameWire reports how two filled messages differ, or "" when their
+// header, control pair, flow widths and flow bits all match.
+func sameWire(a, b gossip.Message) string {
+	switch {
+	case a.From != b.From || a.To != b.To || a.Kind != b.Kind:
+		return fmt.Sprintf("header %d→%d %s vs %d→%d %s", a.From, a.To, a.Kind, b.From, b.To, b.Kind)
+	case a.C != b.C || a.R != b.R:
+		return fmt.Sprintf("control pair (%d, %d) vs (%d, %d)", a.C, a.R, b.C, b.R)
+	case !sameValueBits(a.Flow1, b.Flow1):
+		return fmt.Sprintf("Flow1 %v vs %v", a.Flow1, b.Flow1)
+	case !sameValueBits(a.Flow2, b.Flow2):
+		return fmt.Sprintf("Flow2 %v vs %v", a.Flow2, b.Flow2)
+	}
+	return ""
+}
+
+func sameValueBits(a, b gossip.Value) bool {
+	return math.Float64bits(a.W) == math.Float64bits(b.W) && sameBits(bitsOf(a.X), bitsOf(b.X))
+}
+
+// sameState compares two snapshot streams bit for bit.
+func sameState(a, b gossip.State) bool {
+	return sameBits(bitsOf(a.F64), bitsOf(b.F64)) && slices.Equal(a.U64, b.U64) &&
+		slices.Equal(a.I32, b.I32) && bytes.Equal(a.B, b.B)
 }
 
 // Engine.Reset promises that a reused engine reproduces a freshly

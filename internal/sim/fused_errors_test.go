@@ -39,10 +39,6 @@ func fusedCases() []fusedCase {
 	return []fusedCase{
 		{name: "plain", mk: pcf, eps: 0.05},
 		{
-			// slowProto hides gossip.Estimator: the kernel's Estimate path.
-			name: "no-estimator", mk: func() gossip.Protocol { return slowProto{core.NewEfficient()} },
-		},
-		{
 			name: "hang-crash-silent",
 			mk:   pcf,
 			opts: []sim.EngineOption{sim.WithDetector(sim.DetectorConfig{Detect: detect.Config{Timeout: 10}})},

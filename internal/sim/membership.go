@@ -23,11 +23,11 @@ package sim
 // at all (byte-identical to an engine built before this layer existed).
 //
 // Mass accounting: a joining node enters with its own initial value and
-// peers admit it with zero-flow edges (gossip.OpenMembership), so the
+// peers admit it with zero-flow edges (Protocol.OnNeighborJoin), so the
 // join is exact. A leaving node first has its in-flight messages
 // flushed, then its links torn down on both sides (the PR 1
 // edge-failure machinery redistributes per-edge flow state), and
-// finally hands its surplus — LocalValue minus its own engine-recorded
+// finally hands its surplus — its local mass minus its own engine-recorded
 // input, i.e. whatever mass the protocol had absorbed beyond its own
 // contribution (exactly zero for PF/FU, the accumulated ϕ for PCF) —
 // to its lowest-id live neighbor via AbsorbMass. The oracle input of
@@ -83,18 +83,6 @@ func (e *Engine) hasEdge(i, j int) bool {
 	return e.graph.HasEdge(i, j)
 }
 
-// membership returns node i's protocol as gossip.OpenMembership,
-// panicking with a descriptive message otherwise — membership events
-// require protocol cooperation, and silently skipping the handshake
-// would corrupt the mass accounting.
-func (e *Engine) membership(i int) gossip.OpenMembership {
-	om, ok := e.protos[i].(gossip.OpenMembership)
-	if !ok {
-		panic(fmt.Sprintf("sim: protocol of node %d (%T) does not implement gossip.OpenMembership", i, e.protos[i]))
-	}
-	return om
-}
-
 // JoinNode admits a brand-new node: id must equal the current node
 // count (ids stay dense and are never reused), value is its scalar
 // input (weight 1 — the average-aggregate convention), and peers are
@@ -143,8 +131,6 @@ func (e *Engine) JoinNode(id int, value float64, peers []int) {
 	}
 	if e.det != nil {
 		e.det = append(e.det, detect.New(e.detCfg.Detect, o.Neighbors(id), float64(e.round)))
-		_, reint := p.(gossip.Reintegrator)
-		e.canReint = append(e.canReint, reint && !e.detCfg.DisableReintegration)
 		for i := range e.lastSent {
 			e.lastSent[i] = append(e.lastSent[i], 0)
 		}
@@ -159,7 +145,7 @@ func (e *Engine) JoinNode(id int, value float64, peers []int) {
 		e.shard.nodes[e.shards-1] = append(e.shard.nodes[e.shards-1], int32(id))
 	}
 	for _, j := range peers {
-		e.membership(j).OnNeighborJoin(id)
+		e.protos[j].OnNeighborJoin(id)
 		e.layoutAppend(j, id)
 		if e.det != nil {
 			e.det[j].AddNeighbor(id, float64(e.round))
@@ -217,13 +203,8 @@ func (e *Engine) LeaveNode(i int) {
 		e.dropLossLink(i, j)
 		o.RemoveEdge(i, j)
 	}
-	var lv gossip.Value
-	if mr, ok := e.protos[i].(gossip.MassReader); ok {
-		mr.LocalValueInto(&lv)
-	} else {
-		lv = e.protos[i].LocalValue()
-	}
-	surplus := lv.Clone()
+	var surplus gossip.Value
+	e.protos[i].LocalValueInto(&surplus)
 	surplus.SubInPlace(e.init[i])
 	heir := -1
 	for _, j32 := range row { // sorted ascending: first live = lowest id
@@ -233,7 +214,7 @@ func (e *Engine) LeaveNode(i int) {
 		}
 	}
 	if heir >= 0 {
-		e.membership(heir).AbsorbMass(surplus)
+		e.protos[heir].AbsorbMass(surplus)
 	}
 	e.alive[i] = false
 	e.hung[i] = false
@@ -271,10 +252,10 @@ func (e *Engine) RewireEdge(a, b, c int) {
 	o.RemoveEdge(a, b)
 	o.AddEdge(a, c)
 	if e.alive[a] {
-		e.membership(a).OnNeighborJoin(c)
+		e.protos[a].OnNeighborJoin(c)
 	}
 	if e.alive[c] {
-		e.membership(c).OnNeighborJoin(a)
+		e.protos[c].OnNeighborJoin(a)
 	}
 	e.layoutAppend(a, c)
 	e.layoutAppend(c, a)
@@ -433,11 +414,7 @@ func (e *Engine) teardownPair(i, j int) {
 // sequential-model delivery discipline — as part of an edge resync.
 func (e *Engine) syncExchange(i, j int) {
 	m := e.getMsg()
-	if f, ok := e.protos[i].(gossip.MessageFiller); ok {
-		f.FillMessage(j, m)
-	} else {
-		*m = e.protos[i].MakeMessage(j)
-	}
+	e.protos[i].FillMessage(j, m)
 	e.dispatch(j, m)
 	e.putMsg(m)
 }
@@ -521,7 +498,6 @@ func (e *Engine) dropMembership() {
 		e.perm = e.perm[:n]
 		if e.det != nil {
 			e.det = e.det[:n]
-			e.canReint = e.canReint[:n]
 			e.lastSent = e.lastSent[:n]
 			for i := range e.lastSent {
 				e.lastSent[i] = e.lastSent[i][:n]

@@ -176,13 +176,8 @@ func (e *Engine) massResidual() (mass, inflight float64) {
 			continue
 		}
 		w0.Add(e.init[i].W)
+		p.LocalValueInto(&e.probeVal)
 		v := e.probeVal
-		if mr, ok := p.(gossip.MassReader); ok {
-			mr.LocalValueInto(&e.probeVal)
-			v = e.probeVal
-		} else {
-			v = p.LocalValue()
-		}
 		wsum.Add(v.W)
 		for k, x := range v.X {
 			sums[k].Add(x)

@@ -638,7 +638,7 @@ func (e *Engine) activateShard(i, s int) {
 	if e.det != nil {
 		for _, j := range e.det[i].Check(float64(e.round)) {
 			p.OnLinkFailure(j)
-			if !e.canReint[i] {
+			if e.detCfg.DisableReintegration {
 				e.det[i].Remove(j)
 			}
 			if e.rec != nil {
@@ -655,11 +655,7 @@ func (e *Engine) activateShard(i, s int) {
 		e.noteSent(i, target)
 		e.rec.Bank(s).Inc(metrics.MsgsSent)
 		m := e.getMsgShard(s)
-		if f, ok := p.(gossip.MessageFiller); ok {
-			f.FillMessage(target, m)
-		} else {
-			*m = p.MakeMessage(target)
-		}
+		p.FillMessage(target, m)
 		e.enqueueShard(s, m)
 	}
 	if e.det != nil {
@@ -1092,9 +1088,6 @@ func (e *Engine) errorsRange(s int) {
 // nodeErr is the per-node error kernel shared by the fused and scanning
 // paths: node i's worst relative error, estimated into sl's scratch.
 func (e *Engine) nodeErr(sl *shardLocal, i int) float64 {
-	if ip, ok := e.protos[i].(gossip.Estimator); ok {
-		sl.est = ip.EstimateInto(sl.est)
-		return e.worstErr(sl.est)
-	}
-	return e.worstErr(e.protos[i].Estimate())
+	sl.est = e.protos[i].EstimateInto(sl.est)
+	return e.worstErr(sl.est)
 }

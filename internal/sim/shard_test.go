@@ -264,7 +264,7 @@ func TestShardConvergence(t *testing.T) {
 		if !res.Converged {
 			t.Fatalf("P=%d did not converge: %.3e", p, eng.MaxError())
 		}
-		if est := eng.Protocol(0).Estimate()[0]; math.Abs(est-want) > 1e-8 {
+		if est := eng.Protocol(0).EstimateInto(nil)[0]; math.Abs(est-want) > 1e-8 {
 			t.Fatalf("P=%d estimate %.12g, want %.12g", p, est, want)
 		}
 	}

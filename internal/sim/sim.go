@@ -84,24 +84,12 @@ type Injector interface {
 	Extra(round int) []gossip.Message
 }
 
-// Order selects the per-round activation order of the nodes.
-type Order int
-
-const (
-	// RandomOrder activates nodes in a fresh seeded random permutation
-	// each round (the default; models unsynchronized gossip).
-	RandomOrder Order = iota
-	// FixedOrder activates nodes in id order every round (the "regular,
-	// synchronous communication schedule" of the paper's bus example).
-	FixedOrder
-)
-
 // Engine drives a set of protocol instances over a topology in rounds.
 //
 // The steady-state round loop (Step + Errors) is allocation-free:
 // messages live in an engine-owned free list and are recycled at
-// dispatch/drop time, protocols that implement gossip.MessageFiller and
-// gossip.Estimator fill pooled buffers instead of allocating, and all
+// dispatch/drop time, protocols fill pooled messages and estimate
+// buffers (gossip.Protocol's FillMessage and EstimateInto), and all
 // per-round scratch (activation permutation, error/median buffers,
 // oracle accumulators) is preallocated. Reset rewinds the engine for
 // the next trial without reconstructing any of it.
@@ -111,7 +99,6 @@ type Engine struct {
 	init   []gossip.Value
 	width  int // shared value width of all initial values
 	rng    *rand.Rand
-	order  Order
 	seed   int64 // construction/Reset seed (join streams derive from it)
 
 	// Open-world membership state (membership.go); all nil/zero until
@@ -135,7 +122,6 @@ type Engine struct {
 
 	detCfg     *DetectorConfig
 	det        []*detect.Detector
-	canReint   []bool
 	lastSent   [][]int // lastSent[i][j]: round of node i's last send to j
 	keepalives int
 
@@ -171,9 +157,6 @@ type Engine struct {
 
 // EngineOption configures an Engine at construction time.
 type EngineOption func(*Engine)
-
-// WithOrder sets the activation order policy.
-func WithOrder(o Order) EngineOption { return func(e *Engine) { e.order = o } }
 
 // DetectorConfig mirrors runtime.DetectorConfig for the round simulator:
 // all durations are measured in rounds. A node pushes one data message
@@ -276,12 +259,9 @@ func New(g *topology.Graph, protos []gossip.Protocol, init []gossip.Value, seed 
 			panic(err)
 		}
 		e.det = make([]*detect.Detector, n)
-		e.canReint = make([]bool, n)
 		e.lastSent = make([][]int, n)
 		for i := range protos {
 			e.det[i] = detect.New(e.detCfg.Detect, g.Neighbors(i), 0)
-			_, reint := protos[i].(gossip.Reintegrator)
-			e.canReint[i] = reint && !e.detCfg.DisableReintegration
 			e.lastSent[i] = make([]int, n)
 		}
 	}
@@ -501,16 +481,10 @@ func (e *Engine) putMsg(m *gossip.Message) {
 	e.msgPool = append(e.msgPool, m)
 }
 
-// makeMessage produces node i's push to target as a pooled message,
-// through the protocol's FillMessage when available (allocation-free)
-// and MakeMessage otherwise.
+// makeMessage produces node i's push to target as a pooled message.
 func (e *Engine) makeMessage(p gossip.Protocol, target int) *gossip.Message {
 	m := e.getMsg()
-	if f, ok := p.(gossip.MessageFiller); ok {
-		f.FillMessage(target, m)
-		return m
-	}
-	*m = p.MakeMessage(target)
+	p.FillMessage(target, m)
 	return m
 }
 
@@ -539,9 +513,7 @@ func (e *Engine) Step() {
 		e.stepSharded()
 		return
 	}
-	if e.order == RandomOrder {
-		e.shufflePerm()
-	}
+	e.shufflePerm()
 	for _, i := range e.perm {
 		if !e.alive[i] || e.hung[i] {
 			continue
@@ -551,7 +523,7 @@ func (e *Engine) Step() {
 		if e.det != nil {
 			for _, j := range e.det[i].Check(float64(e.round)) {
 				p.OnLinkFailure(j)
-				if !e.canReint[i] {
+				if e.detCfg.DisableReintegration {
 					e.det[i].Remove(j)
 				}
 				if e.rec != nil {
@@ -653,13 +625,11 @@ func (e *Engine) heard(i, from int) {
 	if e.det == nil {
 		return
 	}
-	if e.det[i].Heard(from, float64(e.round)) && e.canReint[i] {
-		if r, ok := e.protos[i].(gossip.Reintegrator); ok {
-			r.OnLinkRecover(from)
-			if e.rec != nil {
-				e.metricsBank(i).Inc(metrics.Reintegrations)
-				e.noteEvent(metrics.Event{Kind: metrics.EvLinkReintegrated, Round: e.round, A: i, B: from})
-			}
+	if e.det[i].Heard(from, float64(e.round)) && !e.detCfg.DisableReintegration {
+		e.protos[i].OnLinkRecover(from)
+		if e.rec != nil {
+			e.metricsBank(i).Inc(metrics.Reintegrations)
+			e.noteEvent(metrics.Event{Kind: metrics.EvLinkReintegrated, Round: e.round, A: i, B: from})
 		}
 	}
 }
@@ -974,13 +944,8 @@ func (e *Engine) Alive(i int) bool { return e.alive[i] }
 
 // UpdateInput replaces node i's input value mid-run (live monitoring,
 // the paper's reference [8] use case) and updates the oracle aggregate.
-// The protocol must implement gossip.DynamicInput and the new value must
-// keep the node's original weight and width.
+// The new value must keep the node's original weight and width.
 func (e *Engine) UpdateInput(i int, v gossip.Value) {
-	dyn, ok := e.protos[i].(gossip.DynamicInput)
-	if !ok {
-		panic(fmt.Sprintf("sim: protocol of node %d does not support dynamic inputs", i))
-	}
 	if v.Width() != e.init[i].Width() || v.W != e.init[i].W {
 		panic("sim: UpdateInput must preserve width and weight")
 	}
@@ -988,7 +953,7 @@ func (e *Engine) UpdateInput(i int, v gossip.Value) {
 		return
 	}
 	e.init[i] = v.Clone()
-	dyn.SetInput(v)
+	e.protos[i].SetInput(v)
 	e.recomputeTargets()
 }
 
@@ -998,7 +963,7 @@ func (e *Engine) Estimates() [][]float64 {
 	out := make([][]float64, len(e.protos))
 	for i, p := range e.protos {
 		if e.alive[i] {
-			out[i] = p.Estimate()
+			out[i] = p.EstimateInto(nil)
 		}
 	}
 	return out
@@ -1018,14 +983,8 @@ func (e *Engine) Errors() []float64 {
 		if !e.alive[i] {
 			continue
 		}
-		var est []float64
-		if ip, ok := p.(gossip.Estimator); ok {
-			e.estBuf = ip.EstimateInto(e.estBuf)
-			est = e.estBuf
-		} else {
-			est = p.Estimate()
-		}
-		e.errBuf = append(e.errBuf, e.worstErr(est))
+		e.estBuf = p.EstimateInto(e.estBuf)
+		e.errBuf = append(e.errBuf, e.worstErr(e.estBuf))
 	}
 	return e.errBuf
 }
@@ -1055,18 +1014,19 @@ func (e *Engine) worstErr(est []float64) float64 {
 // MaxError returns the maximal relative local error over all alive nodes.
 func (e *Engine) MaxError() float64 { return stats.Max(e.Errors()) }
 
-// GlobalMass sums LocalValue over all alive protocols with compensated
+// GlobalMass sums the local mass over all alive protocols with compensated
 // summation — the conserved quantity of Sec. II-A. Meaningful after
 // Drain (no in-flight messages).
 func (e *Engine) GlobalMass() gossip.Value {
 	width := e.init[0].Width()
 	sums := make([]stats.Sum2, width)
 	var wsum stats.Sum2
+	var v gossip.Value
 	for i, p := range e.protos {
 		if !e.alive[i] {
 			continue
 		}
-		v := p.LocalValue()
+		p.LocalValueInto(&v)
 		wsum.Add(v.W)
 		for k, x := range v.X {
 			sums[k].Add(x)

@@ -116,8 +116,10 @@ const (
 	Average = gossip.Average
 )
 
-// Protocol is the node-local reduction state machine interface; advanced
-// users can implement their own and drive it with the same engines.
+// Protocol is the node-local reduction state machine: the full contract
+// every engine drives (send, receive, estimate, failure and recovery,
+// open membership, live input and checkpoint state). Advanced users can
+// implement their own and drive it with the same engines.
 type Protocol = gossip.Protocol
 
 // MetricsRecorder is the zero-overhead observability recorder
@@ -577,14 +579,39 @@ type QRResult struct {
 	FactorizationError float64
 	// OrthogonalityError is ‖QᵀQ − I‖∞.
 	OrthogonalityError float64
-	// Reductions and TotalRounds count the gossip work performed.
-	Reductions  int
+	// Reductions is the number of gossip reductions in the
+	// factorization's schedule (2m−1, or m when Batched).
+	Reductions int
+	// TotalRounds counts every gossip round run, including those of an
+	// attempt QR repeated with a longer stall cutoff.
 	TotalRounds int
 }
+
+// qrStallRounds is the first stall cutoff QR gives each reduction, and
+// qrSpike the factor above its best error at which a reduction's final
+// error marks a stop inside a transient spike. A cutoff that fires at
+// the floor leaves final/best below about 250 (PF and PCF, 128 and 256
+// nodes); the spike that breaks the 1e-12 factorization error on the
+// input of TestQRStallSpikeRegression leaves it at 3500.
+const (
+	qrStallRounds = 60
+	qrSpike       = 1000
+)
 
 // QR computes the fully distributed QR factorization of v (dmGS, paper
 // Sec. IV) using the given reduction algorithm for every norm and dot
 // product.
+//
+// Each reduction runs until it meets Eps, hits MaxRounds, or has not
+// improved its error for a stall cutoff of rounds — the usual stop,
+// since Eps = 1e-15 sits at or below the accuracy floor. A reduction's
+// error can spike by orders of magnitude for a while after it reached
+// its floor; a cutoff that fires inside such a spike leaves the nodes'
+// copies of R apart, and the factorization misses the 1e-12 it
+// otherwise meets. So when any reduction ends more than qrSpike times
+// above its best error, QR repeats the whole factorization with the
+// cutoff doubled, until no reduction stops in a spike or the cutoff
+// reaches MaxRounds.
 func QR(v *Matrix, algo Algorithm, opt QROptions) (QRResult, error) {
 	if opt.Topology == nil {
 		return QRResult{}, errors.New("pcfreduce: QROptions.Topology is required")
@@ -602,27 +629,39 @@ func QR(v *Matrix, algo Algorithm, opt QROptions) (QRResult, error) {
 		return QRResult{}, fmt.Errorf("pcfreduce: QROptions.Shards is %d, want ≥ 0", opt.Shards)
 	}
 	ropt := ReduceOptions{Topology: opt.Topology, Shards: opt.Shards, CacheAware: opt.CacheAware}
-	res, err := dmgs.Factorize(v, dmgs.Config{
+	var spiked bool
+	cfg := dmgs.Config{
 		Topology:    opt.Topology,
 		NewProtocol: algo.NewNode,
 		Eps:         opt.Eps,
 		MaxRounds:   opt.MaxRounds,
-		StallRounds: 60,
 		Seed:        opt.Seed,
 		Batched:     opt.Batched,
 		Engine:      ropt.engineOptions(),
-	})
-	if err != nil {
-		return QRResult{}, err
+		OnReduction: func(_ int, r sim.Result) {
+			spiked = spiked || r.Series.FinalMax() > qrSpike*r.BestMax
+		},
 	}
-	return QRResult{
-		Q:                  res.Q,
-		R:                  res.R,
-		FactorizationError: linalg.FactorizationError(v, res.Q, res.R),
-		OrthogonalityError: linalg.OrthogonalityError(res.Q),
-		Reductions:         res.Reductions,
-		TotalRounds:        res.TotalRounds,
-	}, nil
+	rounds := 0
+	for stall := qrStallRounds; ; stall *= 2 {
+		spiked = false
+		cfg.StallRounds = stall
+		res, err := dmgs.Factorize(v, cfg)
+		if err != nil {
+			return QRResult{}, err
+		}
+		rounds += res.TotalRounds
+		if !spiked || stall >= opt.MaxRounds {
+			return QRResult{
+				Q:                  res.Q,
+				R:                  res.R,
+				FactorizationError: linalg.FactorizationError(v, res.Q, res.R),
+				OrthogonalityError: linalg.OrthogonalityError(res.Q),
+				Reductions:         res.Reductions,
+				TotalRounds:        rounds,
+			}, nil
+		}
+	}
 }
 
 // EigenOptions configures the distributed symmetric eigensolver.

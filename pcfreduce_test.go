@@ -508,6 +508,29 @@ func TestReduceCacheAwareByteIdentical(t *testing.T) {
 	}
 }
 
+// A stall cutoff that fires while a reduction's error spikes must not
+// end the factorization: on this input the first cutoff of 60 rounds
+// stops one reduction at 7.9e-12 (its best was 2.2e-15), and the
+// factorization error lands at 1.5e-12 unless QR repeats it with a
+// longer cutoff.
+func TestQRStallSpikeRegression(t *testing.T) {
+	v := pcfreduce.RandomMatrix(512, 32, 1705549505236926581)
+	res, err := pcfreduce.QR(v, pcfreduce.PCF, pcfreduce.QROptions{
+		Topology: pcfreduce.Hypercube(7), Eps: 1e-15, MaxRounds: 4000,
+		Seed: 1705549505236926582, Batched: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.FactorizationError > 1e-12 || res.OrthogonalityError > 1e-12 {
+		t.Fatalf("fe=%.3e oe=%.3e after %d rounds, want both ≤ 1e-12",
+			res.FactorizationError, res.OrthogonalityError, res.TotalRounds)
+	}
+	if res.Reductions != 32 {
+		t.Fatalf("%d reductions, want 32", res.Reductions)
+	}
+}
+
 // Batched QR: m reductions instead of 2m−1, fewer total rounds, same
 // factorization quality.
 func TestQRBatched(t *testing.T) {

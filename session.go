@@ -85,8 +85,7 @@ func (s *Session) StepUntil(eps float64, maxRounds int) bool {
 
 // UpdateInput changes node i's input value mid-run. The network
 // re-converges to the new aggregate; the exact target (Exact) moves
-// immediately. The algorithm must support dynamic inputs (all built-in
-// algorithms do).
+// immediately.
 func (s *Session) UpdateInput(node int, value float64) {
 	s.inputs[node] = value
 	s.engine.UpdateInput(node, gossip.Scalar(value, s.agg.InitialWeight(node)))
