@@ -69,7 +69,7 @@ type Sample struct {
 	// AntiSym counts directed edges whose mirror flows are not bitwise
 	// anti-symmetric at the probe instant. Edges with an exchange in
 	// flight legitimately count, so per-round values track churn; at
-	// quiescence (after Drain, legacy engine) it must be 0. -1 when the
+	// quiescence (after Drain, sequential schedule) it must be 0. -1 when the
 	// protocol exposes no flow state (push-sum) or the engine cannot
 	// probe it consistently (concurrent runtime).
 	AntiSym int `json:"antisym_violations"`

@@ -136,14 +136,12 @@ func (e *Engine) JoinNode(id int, value float64, peers []int) {
 		}
 		e.lastSent = append(e.lastSent, make([]int, id+1))
 	}
-	if e.shard != nil {
-		// Appending to the last shard keeps its id list ascending (a join's
-		// id is always the current maximum), and the id-derived stream makes
-		// the node's schedule P-independent.
-		e.shard.nodeRNG = append(e.shard.nodeRNG, mix64(uint64(e.seed)^(uint64(id)+1)*0x632BE59BD9B4E019))
-		e.shard.shardOf = append(e.shard.shardOf, int32(e.shards-1))
-		e.shard.nodes[e.shards-1] = append(e.shard.nodes[e.shards-1], int32(id))
-	}
+	// Appending to the last shard keeps its id list ascending (a join's id
+	// is always the current maximum), and the id-derived stream makes the
+	// node's schedule P-independent.
+	e.shard.nodeRNG = append(e.shard.nodeRNG, mix64(uint64(e.seed)^(uint64(id)+1)*0x632BE59BD9B4E019))
+	e.shard.shardOf = append(e.shard.shardOf, int32(e.shards-1))
+	e.shard.nodes[e.shards-1] = append(e.shard.nodes[e.shards-1], int32(id))
 	for _, j := range peers {
 		e.protos[j].OnNeighborJoin(id)
 		e.layoutAppend(j, id)
@@ -312,7 +310,8 @@ func (e *Engine) LinkLossRate(i, j int) float64 { return e.lossRates[linkKey(i, 
 // that have carried a rate, so loss-free runs consume nothing and stay
 // byte-identical to runs on engines that predate the table. A directed
 // link's stream is advanced only by the destination shard's delivery
-// task (or the single merge/legacy thread), never concurrently.
+// task (or the serial merge, or the sequential schedule), never
+// concurrently.
 func (e *Engine) lossDrop(from, to int) bool {
 	p, ok := e.lossRates[linkKey(from, to)]
 	if !ok {
@@ -360,13 +359,13 @@ func (e *Engine) seedLossRNG(seed int64) {
 	e.lossStreams = nil
 }
 
-// Phase-split teardown conservation. In the legacy sequential model,
+// Phase-split teardown conservation. Under the sequential schedule,
 // messages on an edge are totally ordered (a node drains its inbox
 // before sending, and delivery is immediate), so after flushLink the two
 // sides of an edge are in a handshake-consistent state and tearing the
 // edge down is a pure mass redistribution for every protocol (PF/FU
 // reclaim synchronized mirrors; PCF absorbs pairwise-consistent slots).
-// The phase-split model has no such order: both endpoints can send in
+// The phase-split schedule has no such order: both endpoints can send in
 // the same round, the crossing messages overwrite each other's mirrors,
 // and after the flush the pair state is one no sequential execution can
 // produce. That inconsistency is transient on a live edge (the next
@@ -382,16 +381,16 @@ func (e *Engine) seedLossRNG(seed int64) {
 // execution would have produced and restores pairwise consistency for
 // any protocol (each message is an ordinary protocol step, so the
 // exchange is conservation-neutral by construction). The sync is gated
-// on the phase-split model: sequential edges are already consistent
-// after the flush, and skipping the extra exchange keeps legacy runs
+// on the phase-split schedule: sequential edges are already consistent
+// after the flush, and skipping the extra exchange keeps sequential runs
 // bit-identical to golden recordings.
 
 // teardownPair notifies both endpoints of the flushed link (i, j) going
 // down — protocol OnLinkFailure plus detector eviction — after
-// re-synchronizing the pair state in the phase-split model so the
+// re-synchronizing the pair state under the phase-split schedule so the
 // teardown is a pure mass redistribution (see above).
 func (e *Engine) teardownPair(i, j int) {
-	if e.shards > 0 && e.alive[i] && e.alive[j] && !e.hung[i] && !e.hung[j] &&
+	if !e.seq && e.alive[i] && e.alive[j] && !e.hung[i] && !e.hung[j] &&
 		containsID(e.protos[i].LiveNeighbors(), j) && containsID(e.protos[j].LiveNeighbors(), i) {
 		e.syncExchange(i, j)
 		e.syncExchange(j, i)
@@ -411,12 +410,14 @@ func (e *Engine) teardownPair(i, j int) {
 }
 
 // syncExchange performs one immediate protocol send from i to j — the
-// sequential-model delivery discipline — as part of an edge resync.
+// sequential schedule's delivery discipline — as part of an edge resync,
+// on a message from j's shard free list.
 func (e *Engine) syncExchange(i, j int) {
-	m := e.getMsg()
+	s := int(e.shard.shardOf[j])
+	m := e.getMsgShard(s)
 	e.protos[i].FillMessage(j, m)
 	e.dispatch(j, m)
-	e.putMsg(m)
+	e.putMsgShard(s, m)
 }
 
 func containsID(list []int32, id int) bool {
@@ -506,11 +507,9 @@ func (e *Engine) dropMembership() {
 		if e.nodeCkpt != nil {
 			e.nodeCkpt = e.nodeCkpt[:n]
 		}
-		if e.shard != nil {
-			e.shard.nodeRNG = e.shard.nodeRNG[:n]
-			e.shard.shardOf = e.shard.shardOf[:n]
-			e.shard.nodes[e.shards-1] = e.shard.nodes[e.shards-1][:e.shard.baseLast]
-		}
+		e.shard.nodeRNG = e.shard.nodeRNG[:n]
+		e.shard.shardOf = e.shard.shardOf[:n]
+		e.shard.nodes[e.shards-1] = e.shard.nodes[e.shards-1][:e.shard.baseLast]
 	}
 	e.overlay = nil
 	e.lossRates = nil

@@ -31,11 +31,7 @@ func (e *Engine) SetMetrics(rec *metrics.Recorder) {
 		e.updateFlight()
 		return
 	}
-	banks := 1
-	if e.shards > 0 {
-		banks = e.shards
-	}
-	rec.EnsureBanks(banks)
+	rec.EnsureBanks(e.shards)
 	if e.probeSums == nil {
 		e.probeSums = make([]stats.Sum2, e.width)
 		e.probeVal = gossip.NewValue(e.width)
@@ -62,14 +58,14 @@ func (e *Engine) SetTimeline(tl *metrics.Timeline) {
 func (e *Engine) Timeline() *metrics.Timeline { return e.timeline }
 
 // updateFlight derives the flight-recorder attachment from the current
-// (recorder, timeline) pair: non-nil only under the phase-split model
+// (recorder, timeline) pair: non-nil only under the phase-split schedule
 // when the recorder has timing enabled or a timeline is attached. Both
 // SetMetrics and SetTimeline funnel through here, so the hot path's
 // e.flight nil check stays the single source of truth for "is any
 // phase timing on".
 func (e *Engine) updateFlight() {
 	e.flight = nil
-	if e.shards == 0 {
+	if e.seq {
 		return
 	}
 	timing := e.rec.TimingEnabled()
@@ -83,27 +79,18 @@ func (e *Engine) updateFlight() {
 	e.flight = &flight{rec: e.rec, tl: e.timeline}
 }
 
-// metricsBank returns the counter bank node i's activation may write:
-// its shard's bank under the phase-split model, bank 0 otherwise.
-// Callers must hold e.rec != nil.
-func (e *Engine) metricsBank(i int) *metrics.Bank {
-	if e.shard != nil {
-		return e.rec.Bank(int(e.shard.shardOf[i]))
-	}
-	return e.rec.Bank(0)
-}
-
-// noteEvent records a trace event. During sharded phase 1 the event is
+// noteEvent records a trace event. During parallel phase 1 the event is
 // staged in the emitting node's shard buffer (flushed at the round
 // barrier in ascending node order — see flushShardEvents); everywhere
-// else — the legacy round loop and the fault-injection methods, which
-// run between rounds — it goes straight into the recorder's ring.
+// else — the sequential schedule's activation and the fault-injection
+// methods, which run between rounds — it goes straight into the
+// recorder's ring.
 // No-op without a recorder.
 func (e *Engine) noteEvent(ev metrics.Event) {
 	if e.rec == nil {
 		return
 	}
-	if e.inPhase1 && e.shard != nil && ev.A >= 0 {
+	if e.inPhase1 && ev.A >= 0 {
 		sl := &e.shard.local[e.shard.shardOf[ev.A]]
 		sl.events = append(sl.events, ev)
 		return
@@ -210,8 +197,8 @@ func (e *Engine) massResidual() (mass, inflight float64) {
 // −1 when the protocol exposes no flow state (e.g. push-sum).
 //
 // Violations are expected while exchanges are in flight; the probe is
-// most meaningful after Drain on the legacy engine (where it must be
-// zero for flow protocols) and as a churn trend under failures.
+// most meaningful after Drain under the sequential schedule (where it
+// must be zero for flow protocols) and as a churn trend under failures.
 func (e *Engine) antiSymViolations() int {
 	n := len(e.protos)
 	if n == 0 {

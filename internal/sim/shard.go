@@ -1,21 +1,39 @@
 package sim
 
-// Sharded deterministic round execution.
+// The round executor: one executor, two schedules.
 //
-// WithShards(P) switches the engine from the legacy sequential-activation
-// round model to a *phase-split* model designed to parallelize across P
-// node shards while producing byte-identical results for every shard
-// count (including P=1) and every shard layout:
+// Every engine runs on the same machinery: per-shard free lists, one
+// node activation (activate: drain the inbox, run the failure detector,
+// push one message, queue keepalives), one routing function (route) and
+// the per-shard oracle error scan (errorsRange). Two schedules drive it,
+// and they differ in exactly three places — activation order, the
+// push-target draw and delivery:
+//
+//   - The sequential schedule (the default) runs on one internal shard.
+//     Each round activates the live nodes in a permutation shuffled from
+//     the engine's global math/rand stream, draws push targets from the
+//     same stream, and enqueue routes every message the moment it is
+//     sent, so a node activated later in the round already processes it.
+//     Every pairwise exchange is therefore atomic, which is what makes
+//     Σ local mass exact (DESIGN.md) and what golden_sweep.json records.
+//     Shards() reports 0 for it, and it cannot be snapshotted: the
+//     math/rand state is not serializable.
+//
+//   - The phase-split schedule (WithShards(P), WithPartition) runs P
+//     node shards in parallel and produces byte-identical results for
+//     every shard count (including P=1) and every shard layout.
+//
+// The phase-split round has two phases:
 //
 //	Phase 1 (parallel, one worker per shard): every live node, in
-//	ascending id order within its shard, drains the inbox it was left
-//	with at the end of the previous round, runs its failure detector,
-//	and pushes one message toward a random live neighbor drawn from the
-//	node's own splitmix64 stream. Outgoing messages are appended to the
-//	shard's ordered outbox; nothing is delivered yet. Inside Run, each
-//	worker also computes every alive node's oracle error right after
-//	the node's activation (stepErrors), so Run needs no separate errors
-//	fan-out: the node's state is final for the round by then.
+//	ascending id order within its shard, is activated on the inbox it
+//	was left with at the end of the previous round; its push target
+//	comes from the node's own splitmix64 stream. Outgoing messages are
+//	appended to the shard's outbox buckets; nothing is delivered yet.
+//	Inside Run, each worker also computes every alive node's oracle
+//	error right after the node's activation (stepErrors), so Run needs
+//	no separate errors fan-out: the node's state is final for the round
+//	by then.
 //
 //	Phase 2 (parallel): delivery. During phase 1 every send was routed
 //	into the per-(source shard → destination shard) outbox bucket
@@ -23,9 +41,8 @@ package sim
 //	shard onto the same worker pool (a second WaitGroup barrier per
 //	round). Task d walks its P source buckets in ascending global
 //	source id order — trivially on contiguous layouts, via a k-way
-//	head merge on arbitrary partitions — and routes each message
-//	through the usual dead/silenced/alive checks and the per-link loss
-//	streams into its destination inbox, to be processed next round.
+//	head merge on arbitrary partitions — and routes each message into
+//	its destination inbox, to be processed next round.
 //
 // Why this is invariant under both P and the shard layout: during phase
 // 1 a node reads and writes only its own state (protocol, detector, RNG
@@ -48,10 +65,11 @@ package sim
 // alone, so the communication schedule itself is layout-independent.
 //
 // Stateful interceptors (fault.Loss, fault.BitFlip advance private RNGs
-// per Intercept call) require the global total order of PR-era serial
-// merging, so rounds with an interceptor installed route phase 1 into
-// the flat per-source-shard outbox and run the serial cursor merge
-// instead — bit-identical to the pre-parallel-delivery executor.
+// per Intercept call) require one global total order, so phase-split
+// rounds with an interceptor installed route phase 1 into the flat
+// per-source-shard outbox and run the serial cursor merge (mergeOutboxes)
+// instead of parallel delivery. The sequential schedule needs no merge:
+// its sends are totally ordered already.
 //
 // Everything a worker writes per node lives in its shard's shardLocal,
 // padded so that no two shards' scratch shares a 128-byte block (the
@@ -68,13 +86,11 @@ package sim
 // two channel operations per shard per phase instead of a goroutine
 // spawn.
 //
-// The phase-split model is deliberately NOT schedule-compatible with the
-// legacy engine: sequential activation delivers a message sent earlier
-// in a round to a node activated later in the *same* round, a dependency
-// chain through the activation permutation (plus a single global RNG
-// stream) that cannot be parallelized bit-exactly. Engines without
-// WithShards keep the legacy model unchanged — golden files recorded
-// against it stay valid — while sharded engines trade same-round
+// The two schedules are deliberately NOT schedule-compatible: sequential
+// activation delivers a message sent earlier in a round to a node
+// activated later in the *same* round, a dependency chain through the
+// permutation (plus a single global RNG stream) that cannot be
+// parallelized bit-exactly. The phase-split schedule trades same-round
 // delivery for next-round delivery, which is the standard synchronous
 // gossip model and converges at the same asymptotic rate (each exchange
 // just spans a round boundary). See DESIGN.md for the full argument.
@@ -95,14 +111,12 @@ import (
 	"pcfreduce/internal/topology"
 )
 
-// WithShards runs the engine's rounds in the deterministic phase-split
-// model over p contiguous node shards (p ≥ 1). Results are byte-identical
-// for every p — the shard count only selects how much of phase 1 runs
-// concurrently — so p is purely a performance knob: p=1 for strictly
-// serial execution with the same semantics, p≈GOMAXPROCS for large
-// topologies. The activation-order option is ignored in this model
-// (activation is always ascending by id, and unobservable anyway since
-// deliveries happen between rounds).
+// WithShards runs the engine's rounds under the deterministic phase-split
+// schedule over p contiguous node shards (p ≥ 1). Results are
+// byte-identical for every p — the shard count only selects how much of
+// phase 1 runs concurrently — so p is purely a performance knob: p=1 for
+// strictly serial execution with the same semantics, p≈GOMAXPROCS for
+// large topologies.
 func WithShards(p int) EngineOption {
 	if p < 1 {
 		panic(fmt.Sprintf("sim: WithShards requires p >= 1, got %d", p))
@@ -110,7 +124,7 @@ func WithShards(p int) EngineOption {
 	return func(e *Engine) { e.shards = p; e.partition = nil }
 }
 
-// WithPartition runs the phase-split model over an explicit shard
+// WithPartition runs the phase-split schedule over an explicit shard
 // layout, e.g. topology.CacheAware's minimized-cut grouping. The layout
 // is a pure performance knob: any valid partition of the engine's graph
 // produces byte-identical results to WithShards(len(pt.Shards)) — the
@@ -145,14 +159,19 @@ func WithPhaseLabels() EngineOption {
 }
 
 // Shards returns the configured shard count (0 when the engine runs the
-// legacy sequential-activation model).
-func (e *Engine) Shards() int { return e.shards }
+// sequential schedule).
+func (e *Engine) Shards() int {
+	if e.seq {
+		return 0
+	}
+	return e.shards
+}
 
-// shardState holds the executor state of the phase-split model. Every
-// field here is written only between rounds or by the single caller
-// goroutine; what a shard's worker writes during a round lives in its
-// own padded local[s] (phase 1) or, for a delivery task d, in the
-// destination-owned slots named on shardScratch (phase 2).
+// shardState holds the executor state of both schedules. Every field
+// here is written only between rounds or by the single caller goroutine;
+// what a shard's worker writes during a round lives in its own padded
+// local[s] (phase 1) or, for a delivery task d, in the destination-owned
+// slots named on shardScratch (phase 2).
 type shardState struct {
 	nodes    [][]int32 // per-shard ascending node-id lists
 	shardOf  []int32   // node id → shard index
@@ -292,7 +311,7 @@ func (w *workerPool) close() { w.once.Do(func() { close(w.stop) }) }
 // next parallel round — Close is for callers that want deterministic
 // goroutine lifetimes (tests, long-lived processes cycling engines).
 func (e *Engine) Close() {
-	if e.shard != nil && e.shard.workers != nil {
+	if e.shard.workers != nil {
 		e.shard.workers.close()
 		e.shard.workers = nil
 	}
@@ -313,11 +332,12 @@ func (e *Engine) labeled(phase string, f func(int)) func(int) {
 }
 
 // runShards executes f(s) for every shard, tagged with the given pprof
-// phase label when enabled. With one shard, one available CPU, or
-// within a nested call it runs inline (identical results — both phases
-// are order-independent across shards); otherwise shards 1..p−1 are
-// dispatched to the persistent pool while the caller runs shard 0, and
-// the WaitGroup barrier joins the phase.
+// phase label when enabled. With one shard or one available CPU — and
+// for delivery under WithSerialDelivery — it runs inline in ascending
+// shard order (identical results — every phase is order-independent
+// across shards); otherwise shards 1..p−1 are dispatched to the
+// persistent pool while the caller runs shard 0, and the WaitGroup
+// barrier joins the phase.
 //
 // With the flight recorder attached (e.flight != nil) every task is
 // timed by its runner, and the caller additionally records its barrier
@@ -327,7 +347,7 @@ func (e *Engine) runShards(phase string, ph metrics.Phase, f func(int)) {
 	p := e.shards
 	f = e.labeled(phase, f)
 	fl := e.flight
-	if p == 1 || runtime.GOMAXPROCS(0) == 1 {
+	if p == 1 || runtime.GOMAXPROCS(0) == 1 || (e.serialDeliver && ph == metrics.PhaseDeliver) {
 		if fl == nil {
 			for s := 0; s < p; s++ {
 				f(s)
@@ -374,10 +394,14 @@ func (e *Engine) runShards(phase string, ph metrics.Phase, f func(int)) {
 	fl.wall(ph, e.round, wall)
 }
 
-// initShards builds the shard structures; called from New and only when
-// e.shards > 0.
+// initShards builds the shard structures; called from New. An engine
+// built without WithShards or WithPartition gets the sequential schedule
+// on one shard.
 func (e *Engine) initShards(seed int64) {
 	n := e.graph.N()
+	if e.shards == 0 {
+		e.seq, e.shards = true, 1
+	}
 	if e.partition != nil {
 		if err := e.partition.Validate(e.graph); err != nil {
 			panic(err)
@@ -487,7 +511,9 @@ func (e *Engine) draw(i, n int) int {
 }
 
 // getMsgShard takes a message off shard s's free list (phase 1: only the
-// owning worker calls this; merge: single-threaded).
+// owning worker calls this; delivery: only the task owning s). Callers
+// must fully overwrite its header fields; the flow slices arrive reset
+// to the engine width.
 func (e *Engine) getMsgShard(s int) *gossip.Message {
 	sl := &e.shard.local[s]
 	if n := len(sl.pool); n > 0 {
@@ -500,8 +526,11 @@ func (e *Engine) getMsgShard(s int) *gossip.Message {
 	return &gossip.Message{Flow1: gossip.NewValue(e.width), Flow2: gossip.NewValue(e.width)}
 }
 
-// putMsgShard recycles a message into shard s's free list, with the same
-// width-restoring guard as the global putMsg.
+// putMsgShard recycles a message into shard s's free list, restoring its
+// flow slices to the engine width from their capacity. Messages whose
+// backing arrays cannot hold a full-width value (injector-fabricated
+// ones, or ones from before a width change) are left to the garbage
+// collector instead of poisoning the pool.
 func (e *Engine) putMsgShard(s int, m *gossip.Message) {
 	if cap(m.Flow1.X) < e.width || cap(m.Flow2.X) < e.width {
 		return
@@ -533,12 +562,14 @@ func (e *Engine) dropShardQueues() {
 	}
 }
 
-// stepSharded executes one phase-split round: phase 1 on the worker
-// pool (inline when it cannot actually run in parallel — exact same
-// results without the dispatch cost), then delivery — parallel, one
-// task per destination shard, on the same pool; or the serial
-// global-order merge when a stateful interceptor demands it.
-func (e *Engine) stepSharded() {
+// Step executes one round: activation of every live, running node — in
+// a fresh permutation under the sequential schedule, in parallel per
+// shard under the phase-split one — then delivery of what activation
+// queued: parallel, one task per destination shard, on the worker pool,
+// or the serial global-order merge when a stateful interceptor demands
+// it. The sequential schedule queues nothing (every send was routed as
+// it happened), so its delivery finds empty buckets.
+func (e *Engine) Step() {
 	fl := e.flight
 	var roundStart time.Time
 	if fl != nil {
@@ -548,9 +579,13 @@ func (e *Engine) stepSharded() {
 		// timeline's time axis.
 		fl.tl.MarkRound(e.round, roundStart)
 	}
-	e.inPhase1 = true
-	e.runShards("activate", metrics.PhaseActivate, e.shard.phase1Task)
-	e.inPhase1 = false
+	if e.seq {
+		e.activateSequential()
+	} else {
+		e.inPhase1 = true
+		e.runShards("activate", metrics.PhaseActivate, e.shard.phase1Task)
+		e.inPhase1 = false
+	}
 	e.foldKeepalives()
 	if e.interceptor != nil {
 		if fl == nil {
@@ -577,6 +612,24 @@ func (e *Engine) stepSharded() {
 	e.round++
 }
 
+// activateSequential is the sequential schedule's activation: every
+// live, running node, in a permutation shuffled from the engine's RNG,
+// on the one internal shard. Under stepErrors the error scan follows
+// the loop: a node's state is final for the round once it has
+// activated, but the permutation is not the ascending order the errors
+// are kept in.
+func (e *Engine) activateSequential() {
+	e.rng.Shuffle(len(e.perm), func(a, b int) { e.perm[a], e.perm[b] = e.perm[b], e.perm[a] })
+	for _, i := range e.perm {
+		if e.alive[i] && !e.hung[i] {
+			e.activate(i, 0)
+		}
+	}
+	if e.shard.fuseErrs {
+		e.errorsRange(0)
+	}
+}
+
 // foldKeepalives folds the per-shard phase-1 keepalive counters into the
 // engine total at the round barrier.
 func (e *Engine) foldKeepalives() {
@@ -586,13 +639,19 @@ func (e *Engine) foldKeepalives() {
 	}
 }
 
-// enqueueShard routes one of shard s's outgoing messages: into the
-// (s → destination shard) bucket normally, or into the flat per-shard
-// outbox when an interceptor is installed — stateful interceptors must
-// observe the global total order only the serial merge provides, and
-// the flat outbox preserves each node's intra-round send order (data
-// before keepalives), which bucketing by destination would lose.
-func (e *Engine) enqueueShard(s int, m *gossip.Message) {
+// enqueue hands one of shard s's outgoing messages to delivery. The
+// sequential schedule routes it immediately. The phase-split schedule
+// queues it: into the (s → destination shard) bucket normally, or into
+// the flat per-shard outbox when an interceptor is installed — stateful
+// interceptors must observe the global total order only the serial merge
+// provides, and the flat outbox preserves each node's intra-round send
+// order (data before keepalives), which bucketing by destination would
+// lose.
+func (e *Engine) enqueue(s int, m *gossip.Message) {
+	if e.seq {
+		e.route(m, 0)
+		return
+	}
 	sl := &e.shard.local[s]
 	if e.interceptor != nil {
 		sl.outbox = append(sl.outbox, m)
@@ -621,7 +680,7 @@ func (e *Engine) shardPhase1(s int) {
 			continue
 		}
 		if !e.hung[i] {
-			e.activateShard(i, s)
+			e.activate(i, s)
 		}
 		if fuse {
 			sl.errs = append(sl.errs, e.nodeErr(sl, i))
@@ -629,10 +688,10 @@ func (e *Engine) shardPhase1(s int) {
 	}
 }
 
-// activateShard is one alive, running node's phase-1 activation: drain
-// the frozen inbox, run the failure detector, push one message toward a
-// random live neighbor, and queue keepalives.
-func (e *Engine) activateShard(i, s int) {
+// activate is one alive, running node's activation on shard s, shared by
+// both schedules: drain the inbox, run the failure detector, push one
+// message toward a random live neighbor, and queue keepalives.
+func (e *Engine) activate(i, s int) {
 	p := e.protos[i]
 	e.drainInboxShard(i, s)
 	if e.det != nil {
@@ -645,27 +704,33 @@ func (e *Engine) activateShard(i, s int) {
 				b := e.rec.Bank(s)
 				b.Inc(metrics.Suspicions)
 				b.Inc(metrics.Evictions)
-				sl := &e.shard.local[s]
-				sl.events = append(sl.events, metrics.Event{Kind: metrics.EvLinkEvicted, Round: e.round, A: i, B: j})
+				e.noteEvent(metrics.Event{Kind: metrics.EvLinkEvicted, Round: e.round, A: i, B: j})
 			}
 		}
 	}
 	if live := p.LiveNeighbors(); len(live) > 0 {
-		target := int(live[e.draw(i, len(live))])
+		var k int
+		if e.seq {
+			k = e.rng.Intn(len(live))
+		} else {
+			k = e.draw(i, len(live))
+		}
+		target := int(live[k])
 		e.noteSent(i, target)
 		e.rec.Bank(s).Inc(metrics.MsgsSent)
 		m := e.getMsgShard(s)
 		p.FillMessage(target, m)
-		e.enqueueShard(s, m)
+		e.enqueue(s, m)
 	}
 	if e.det != nil {
 		e.shardKeepalives(i, s)
 	}
 }
 
-// drainInboxShard processes node i's frozen inbox (messages merged at
-// the end of the previous round), recycling each into the draining
-// shard's own free list.
+// drainInboxShard processes node i's inbox in index order (per-link
+// FIFO), recycling each message into the draining shard's own free list
+// — receivers never retain message backing (protocols copy payloads
+// into their own state).
 func (e *Engine) drainInboxShard(i, s int) {
 	for k := 0; k < len(e.inbox[i]); k++ {
 		m := e.inbox[i][k]
@@ -675,9 +740,12 @@ func (e *Engine) drainInboxShard(i, s int) {
 	e.inbox[i] = e.inbox[i][:0]
 }
 
-// shardKeepalives mirrors sendKeepalives for the phase-split model:
-// keepalives and probes are queued on the shard outbox instead of being
-// delivered immediately, and counted per shard.
+// shardKeepalives pushes keepalives on node i's live links that have been
+// idle for KeepaliveInterval rounds and probes suspected neighbors every
+// ProbeInterval rounds, so that healed links reintegrate (after mutual
+// eviction neither side gossips to the other; only probes can cross a
+// recovered link). They are counted per shard and folded into the engine
+// total at the round barrier.
 func (e *Engine) shardKeepalives(i, s int) {
 	for _, j32 := range e.protos[i].LiveNeighbors() {
 		j := int(j32)
@@ -685,7 +753,7 @@ func (e *Engine) shardKeepalives(i, s int) {
 			e.noteSent(i, j)
 			e.shard.local[s].keep++
 			e.rec.Bank(s).Inc(metrics.Keepalives)
-			e.enqueueShard(s, e.makeControlShard(i, j, gossip.KindKeepalive, s))
+			e.enqueue(s, e.makeControlShard(i, j, gossip.KindKeepalive, s))
 		}
 	}
 	for _, j := range e.det[i].Suspects() {
@@ -693,12 +761,16 @@ func (e *Engine) shardKeepalives(i, s int) {
 			e.noteSent(i, j)
 			e.shard.local[s].keep++
 			e.rec.Bank(s).Inc(metrics.Keepalives)
-			e.enqueueShard(s, e.makeControlShard(i, j, gossip.KindKeepalive, s))
+			e.enqueue(s, e.makeControlShard(i, j, gossip.KindKeepalive, s))
 		}
 	}
 }
 
-// makeControlShard is makeControl drawing from shard s's free list.
+// makeControlShard produces a payload-free control message (keepalive or
+// link-down notice) from shard s's free list: zero-width flows, exactly
+// the wire shape a literal gossip.Message{Kind: ...} has, so
+// interceptors that enumerate payload slots observe the same message
+// shape either way.
 func (e *Engine) makeControlShard(from, to int, kind gossip.Kind, s int) *gossip.Message {
 	m := e.getMsgShard(s)
 	m.From, m.To, m.Kind = from, to, kind
@@ -715,24 +787,6 @@ func (e *Engine) makeControlShard(from, to int, kind gossip.Kind, s int) *gossip
 // ascending shard order under WithSerialDelivery — bit-identical, since
 // the tasks touch pairwise-disjoint state).
 func (e *Engine) deliverRound() {
-	if e.serialDeliver {
-		f := e.labeled("deliver", e.shard.deliverTask)
-		fl := e.flight
-		if fl == nil {
-			for d := 0; d < e.shards; d++ {
-				f(d)
-			}
-			return
-		}
-		wall := time.Now()
-		for d := 0; d < e.shards; d++ {
-			start := time.Now()
-			f(d)
-			fl.task(0, metrics.PhaseDeliver, d, e.round, start)
-		}
-		fl.wall(metrics.PhaseDeliver, e.round, wall)
-		return
-	}
 	e.runShards("deliver", metrics.PhaseDeliver, e.shard.deliverTask)
 }
 
@@ -750,7 +804,7 @@ func (e *Engine) deliverShard(d int) {
 		for s := range local {
 			col := local[s].bucket[d]
 			for _, m := range col {
-				e.routeDeliver(m, d)
+				e.route(m, d)
 			}
 			local[s].bucket[d] = col[:0]
 		}
@@ -776,7 +830,7 @@ func (e *Engine) deliverShard(d int) {
 		last = bestFrom
 		col := local[best].bucket[d]
 		for cur[best] < len(col) && col[cur[best]].From == bestFrom {
-			e.routeDeliver(col[cur[best]], d)
+			e.route(col[cur[best]], d)
 			cur[best]++
 		}
 	}
@@ -785,31 +839,64 @@ func (e *Engine) deliverShard(d int) {
 	}
 }
 
-// routeDeliver applies the send-path semantics (link-failure table,
-// silencing, crash check, per-link loss) to one message of delivery
-// task d. Dropped messages recycle into the task's own free list — the
-// pool the message would have been drained into had it been delivered —
-// so pool occupancy stays P-independent with no cross-task traffic.
-// Interceptors never reach this path (stepSharded routes interceptor
-// rounds through the serial merge).
-func (e *Engine) routeDeliver(msg *gossip.Message, d int) {
+// route applies the send path to one message on behalf of shard d, the
+// shard that owns msg.To: the link-failure table, silencing, the crash
+// check, per-link loss and, when installed, the interceptor with its
+// replication and injection extensions, into the destination inbox.
+// Dropped messages recycle into d's free list — the pool the message
+// would have been drained into had it been delivered — and counters go
+// to d's bank, so a parallel delivery task touches only state its
+// destination shard owns. The interceptor branch runs only serially:
+// from the sequential schedule's sends and from mergeOutboxes.
+func (e *Engine) route(msg *gossip.Message, d int) {
+	b := e.rec.Bank(d)
 	key := linkKey(msg.From, msg.To)
 	if e.dead[key] || e.silenced[key] || !e.alive[msg.To] {
-		e.rec.Bank(d).Inc(metrics.MsgsLost)
+		b.Inc(metrics.MsgsLost)
 		e.putMsgShard(d, msg)
-		return
+		return // sent into a broken, silenced or dead destination: lost
 	}
 	// Per-link heterogeneous loss: each directed link draws from its own
 	// splitmix64 stream, touched only by the destination shard's task, so
 	// the draw sequence per link — the only sequence that matters — is
 	// identical for every shard count, layout and delivery order.
 	if e.lossRates != nil && e.lossDrop(msg.From, msg.To) {
-		e.rec.Bank(d).Inc(metrics.MsgsLost)
+		b.Inc(metrics.MsgsLost)
 		e.putMsgShard(d, msg)
 		return
 	}
-	e.rec.Bank(d).Inc(metrics.MsgsDelivered)
-	e.inbox[msg.To] = append(e.inbox[msg.To], msg)
+	if e.interceptor == nil {
+		b.Inc(metrics.MsgsDelivered)
+		e.inbox[msg.To] = append(e.inbox[msg.To], msg)
+		return
+	}
+	copies := 0
+	if e.interceptor.Intercept(e.round, msg) {
+		copies = 1
+		if r, ok := e.interceptor.(Replicator); ok {
+			copies = r.Copies(e.round, msg)
+		}
+	}
+	if copies == 0 {
+		b.Inc(metrics.MsgsDropped)
+		e.putMsgShard(d, msg)
+	} else {
+		b.Inc(metrics.MsgsDelivered)
+		e.inbox[msg.To] = append(e.inbox[msg.To], msg)
+		for k := 1; k < copies; k++ {
+			e.inbox[msg.To] = append(e.inbox[msg.To], e.cloneMsgShard(msg, d))
+		}
+	}
+	if inj, ok := e.interceptor.(Injector); ok {
+		for _, extra := range inj.Extra(e.round) {
+			k := linkKey(extra.From, extra.To)
+			if e.dead[k] || e.silenced[k] || !e.alive[extra.To] {
+				continue
+			}
+			c := e.cloneMsgShard(&extra, int(e.shard.shardOf[extra.To]))
+			e.inbox[extra.To] = append(e.inbox[extra.To], c)
+		}
+	}
 }
 
 // mergeOutboxes is the serial phase 2 used for interceptor rounds:
@@ -827,7 +914,7 @@ func (e *Engine) mergeOutboxes() {
 	if e.shard.contig {
 		for s := range local {
 			for _, m := range local[s].outbox {
-				e.routeMerged(m)
+				e.route(m, int(e.shard.shardOf[m.To]))
 			}
 			local[s].outbox = local[s].outbox[:0]
 		}
@@ -853,7 +940,8 @@ func (e *Engine) mergeOutboxes() {
 		last = bestFrom
 		out := local[best].outbox
 		for cur[best] < len(out) && out[cur[best]].From == bestFrom {
-			e.routeMerged(out[cur[best]])
+			m := out[cur[best]]
+			e.route(m, int(e.shard.shardOf[m.To]))
 			cur[best]++
 		}
 	}
@@ -953,66 +1041,6 @@ func (e *Engine) rebalancePools() {
 	e.shard.surplus = surplus[:0]
 }
 
-// routeMerged applies the legacy send-path semantics (link-failure table,
-// silencing, crash check, interceptor, replication, injection) to one
-// merged message. Dropped messages are recycled into their destination
-// shard's pool — the pool the message would have been drained into had
-// it been delivered — keeping pool occupancy P-independent.
-func (e *Engine) routeMerged(msg *gossip.Message) {
-	dst := int(e.shard.shardOf[msg.To])
-	key := linkKey(msg.From, msg.To)
-	if e.dead[key] || e.silenced[key] || !e.alive[msg.To] {
-		e.rec.Bank(0).Inc(metrics.MsgsLost)
-		e.putMsgShard(dst, msg)
-		return
-	}
-	// Per-link heterogeneous loss: each directed link draws from its own
-	// stream, so the sequence per link is the same here as on the
-	// parallel delivery path.
-	if e.lossRates != nil && e.lossDrop(msg.From, msg.To) {
-		e.rec.Bank(0).Inc(metrics.MsgsLost)
-		e.putMsgShard(dst, msg)
-		return
-	}
-	if e.interceptor == nil {
-		e.rec.Bank(0).Inc(metrics.MsgsDelivered)
-		e.inbox[msg.To] = append(e.inbox[msg.To], msg)
-		return
-	}
-	if e.interceptor.Intercept(e.round, msg) {
-		copies := 1
-		if r, ok := e.interceptor.(Replicator); ok {
-			copies = r.Copies(e.round, msg)
-		}
-		if copies == 0 {
-			e.rec.Bank(0).Inc(metrics.MsgsDropped)
-			e.putMsgShard(dst, msg)
-		} else {
-			e.rec.Bank(0).Inc(metrics.MsgsDelivered)
-		}
-		for k := 0; k < copies; k++ {
-			if k == 0 {
-				e.inbox[msg.To] = append(e.inbox[msg.To], msg)
-			} else {
-				e.inbox[msg.To] = append(e.inbox[msg.To], e.cloneMsgShard(msg, dst))
-			}
-		}
-	} else {
-		e.rec.Bank(0).Inc(metrics.MsgsDropped)
-		e.putMsgShard(dst, msg)
-	}
-	if inj, ok := e.interceptor.(Injector); ok {
-		for _, extra := range inj.Extra(e.round) {
-			k := linkKey(extra.From, extra.To)
-			if e.dead[k] || e.silenced[k] || !e.alive[extra.To] {
-				continue
-			}
-			d := int(e.shard.shardOf[extra.To])
-			e.inbox[extra.To] = append(e.inbox[extra.To], e.cloneMsgShard(&extra, d))
-		}
-	}
-}
-
 // cloneMsgShard deep-copies m into a message from shard s's pool.
 func (e *Engine) cloneMsgShard(m *gossip.Message, s int) *gossip.Message {
 	c := e.getMsgShard(s)
@@ -1024,33 +1052,21 @@ func (e *Engine) cloneMsgShard(m *gossip.Message, s int) *gossip.Message {
 }
 
 // stepErrors runs one round and returns the per-node oracle errors it
-// ended with: Step followed by Errors, except that the phase-split model
-// computes each node's error inside its phase-1 activation (see
-// shardPhase1) and so skips the separate errors fan-out and its barrier.
-// The values, and their ascending-id order, are bit-identical to the
-// Errors scan's. The returned slice is the Errors buffer.
+// ended with: Step followed by Errors, except that the errors are
+// computed inside phase 1 (see shardPhase1 and activateSequential), which
+// skips the separate errors fan-out and its barrier. The values, and
+// their ascending-id order, are bit-identical to the Errors scan's. The
+// returned slice is the Errors buffer.
 func (e *Engine) stepErrors() []float64 {
-	if e.shards == 0 {
-		e.Step()
-		return e.Errors()
-	}
 	e.shard.fuseErrs = true
-	e.stepSharded()
+	e.Step()
 	e.shard.fuseErrs = false
 	return e.mergeShardErrs()
 }
 
-// errorsSharded computes the per-node oracle errors with one worker per
-// shard, then merges the per-shard slices in ascending node id order —
-// the same skip-dead sequence (and bit-identical values) as the serial
-// scan, for every shard layout.
-func (e *Engine) errorsSharded() []float64 {
-	e.runShards("errors", metrics.PhaseErrors, e.shard.errorsTask)
-	return e.mergeShardErrs()
-}
-
 // mergeShardErrs concatenates the per-shard error slices into errBuf in
-// ascending node id order.
+// ascending node id order — the same skip-dead sequence for every shard
+// layout.
 func (e *Engine) mergeShardErrs() []float64 {
 	local := e.shard.local
 	e.errBuf = e.errBuf[:0]

@@ -269,3 +269,58 @@ func TestShardConvergence(t *testing.T) {
 		}
 	}
 }
+
+// TestResetKeepsShardPools pins that Reset recycles a sharded engine's
+// queued messages into the shard free lists the executor draws from: the
+// number of engine-owned messages stays flat across trials, and a trial
+// allocates about what a sequential-schedule trial does instead of
+// re-allocating every message that sat in an inbox at Reset.
+func TestResetKeepsShardPools(t *testing.T) {
+	g := topology.Hypercube(10)
+	inputs := make([]float64, g.N())
+	for i := range inputs {
+		inputs[i] = float64(i%17) + 0.5
+	}
+	build := func(opts ...sim.EngineOption) *sim.Engine {
+		protos := make([]gossip.Protocol, g.N())
+		for i := range protos {
+			protos[i] = core.NewEfficient()
+		}
+		return sim.NewScalar(g, protos, inputs, gossip.Average, 7, opts...)
+	}
+	cycle := func(e *sim.Engine) {
+		e.Reset(7)
+		for r := 0; r < 50; r++ {
+			e.Step()
+		}
+	}
+	sh := build(sim.WithShards(2))
+	defer sh.Close()
+	// Warm up until a trial allocates nothing new: the free lists settle
+	// within a few trials, once every shard's list covers its peak demand
+	// in every round.
+	cycle(sh)
+	owned := sh.OwnedMessages()
+	for c := 0; c < 10; c++ {
+		cycle(sh)
+		got := sh.OwnedMessages()
+		if got == owned {
+			break
+		}
+		owned = got
+	}
+	for c := 0; c < 5; c++ {
+		cycle(sh)
+		if got := sh.OwnedMessages(); got != owned {
+			t.Fatalf("cycle %d: engine owns %d messages, %d after warm-up", c, got, owned)
+		}
+	}
+	seq := build()
+	cycle(seq)
+	seqAllocs := testing.AllocsPerRun(5, func() { cycle(seq) })
+	shAllocs := testing.AllocsPerRun(5, func() { cycle(sh) })
+	if shAllocs > 1.25*seqAllocs {
+		t.Fatalf("sharded Reset + 50 rounds: %.0f allocs, sequential %.0f", shAllocs, seqAllocs)
+	}
+	t.Logf("allocs per Reset + 50 rounds: sharded %.0f, sequential %.0f", shAllocs, seqAllocs)
+}

@@ -1,27 +1,35 @@
 // Package sim provides the deterministic, round-based gossip simulator
 // used for all paper experiments. In every round each live node is
-// activated once (in a seeded random permutation); an activated node
-// first processes the messages queued in its inbox and then pushes one
-// message to a uniformly random live neighbor, exactly the execution
-// model of the paper's Figs. 1 and 5 ("on receive … on send").
+// activated once; an activated node first processes the messages queued
+// in its inbox and then pushes one message to a uniformly random live
+// neighbor, exactly the execution model of the paper's Figs. 1 and 5
+// ("on receive … on send").
 //
-// Delivery is immediate: a sent message is appended to the target's
-// inbox and processed at the target's next activation. Activations are
-// therefore globally ordered, which makes each pairwise flow exchange
-// atomic — the standard sequential-event simulation of gossip protocols.
-// (A lockstep double-buffered model would make the two endpoints of an
-// edge overwrite each other's flow variables from stale state on every
-// round, which biases the flow algorithms' ratio estimates; sequential
-// activation avoids this artifact.)
+// One executor (shard.go) runs every engine, under one of two schedules:
+//
+//   - The sequential schedule (the default) activates the nodes in a
+//     seeded random permutation and delivers immediately: a sent message
+//     is appended to the target's inbox and processed at the target's
+//     next activation, possibly later in the same round. Activations are
+//     therefore globally ordered, which makes each pairwise flow exchange
+//     atomic — the standard sequential-event simulation of gossip
+//     protocols, and the model under which the paper's exact mass
+//     conservation holds. (A lockstep double-buffered model would make the
+//     two endpoints of an edge overwrite each other's flow variables from
+//     stale state on every round, which biases the flow algorithms' ratio
+//     estimates; sequential activation avoids this artifact.)
+//
+//   - The phase-split schedule (WithShards, WithPartition) activates P
+//     node shards in parallel and delivers between rounds, with results
+//     byte-identical for every shard count and layout.
 //
 // Two design decisions matter for reproducing the paper:
 //
 //   - The engine, not the protocol, draws the random communication
-//     schedule (activation permutations and push targets). Two
-//     algorithms run with the same seed therefore exchange messages
-//     along bit-identical schedules, which the paper exploits when
-//     comparing PF and PCF ("we initially used exactly the same random
-//     seed", Sec. III-C).
+//     schedule (activation order and push targets). Two algorithms run
+//     with the same seed therefore exchange messages along bit-identical
+//     schedules, which the paper exploits when comparing PF and PCF ("we
+//     initially used exactly the same random seed", Sec. III-C).
 //
 //   - Convergence is measured by an oracle: the engine knows the exact
 //     aggregate (computed with compensated summation) and tracks each
@@ -87,19 +95,20 @@ type Injector interface {
 // Engine drives a set of protocol instances over a topology in rounds.
 //
 // The steady-state round loop (Step + Errors) is allocation-free:
-// messages live in an engine-owned free list and are recycled at
-// dispatch/drop time, protocols fill pooled messages and estimate
-// buffers (gossip.Protocol's FillMessage and EstimateInto), and all
-// per-round scratch (activation permutation, error/median buffers,
-// oracle accumulators) is preallocated. Reset rewinds the engine for
-// the next trial without reconstructing any of it.
+// messages live in per-shard free lists and are recycled at dispatch or
+// drop time (the sequential schedule has one shard, so one list),
+// protocols fill pooled messages and estimate buffers (gossip.Protocol's
+// FillMessage and EstimateInto), and all per-round scratch (activation
+// permutation, error/median buffers, oracle accumulators) is
+// preallocated. Reset rewinds the engine for the next trial without
+// reconstructing any of it.
 type Engine struct {
 	graph  *topology.Graph
 	protos []gossip.Protocol
 	init   []gossip.Value
-	width  int // shared value width of all initial values
-	rng    *rand.Rand
-	seed   int64 // construction/Reset seed (join streams derive from it)
+	width  int        // shared value width of all initial values
+	rng    *rand.Rand // the sequential schedule's permutations and push targets
+	seed   int64      // construction/Reset seed (join streams derive from it)
 
 	// Open-world membership state (membership.go); all nil/zero until
 	// the first membership operation.
@@ -114,7 +123,7 @@ type Engine struct {
 	// destination shard's task (membership.go).
 	layout map[int][]int32 // protocol storage rows that diverged from the overlay (membership.go)
 
-	inbox    [][]*gossip.Message // pooled; recycled after dispatch
+	inbox    [][]*gossip.Message // pooled; recycled into the node's shard free list after dispatch
 	alive    []bool
 	dead     map[[2]int]bool // failed links, ordered pairs i<j
 	silenced map[[2]int]bool // silently dropping links (no notification)
@@ -135,24 +144,23 @@ type Engine struct {
 	rec       *metrics.Recorder // nil ⇒ every metrics touch is a no-op (observe.go)
 	timeline  *metrics.Timeline // nil ⇒ no span tracing (SetTimeline, observe.go)
 	flight    *flight           // nil ⇒ phase timing off entirely (updateFlight, flight.go)
-	inPhase1  bool              // inside sharded phase 1: events must be staged per shard
+	inPhase1  bool              // inside parallel phase 1: events must be staged per shard
 	probeVal  gossip.Value      // massResidual scratch
 	probeSums []stats.Sum2      // massResidual scratch
 
-	shards        int                 // 0 = legacy sequential model; ≥ 1 = phase-split model
-	shard         *shardState         // executor state of the phase-split model (shard.go)
+	seq           bool                // sequential schedule: one internal shard, permutation, immediate delivery
+	shards        int                 // executor shard count (1 under the sequential schedule)
+	shard         *shardState         // executor state (shard.go)
 	partition     *topology.Partition // explicit shard layout (WithPartition); nil = contiguous
 	serialDeliver bool                // run phase-2 delivery tasks inline (WithSerialDelivery)
 	phaseLabels   bool                // pprof-label pooled tasks (WithPhaseLabels)
 
 	nodeCkpt []*gossip.State // per-node crash-restart checkpoints (snapshot.go); nil until CheckpointNode
 
-	msgPool []*gossip.Message // free list of width-sized messages
-	perm    []int             // activation-order scratch
-	errBuf  []float64         // Errors scratch
-	estBuf  []float64         // per-node estimate scratch (Errors)
-	medBuf  []float64         // sorted-error scratch (recordPoint)
-	sumBuf  []stats.Sum2      // recomputeTargets scratch
+	perm   []int        // activation permutation of the sequential schedule
+	errBuf []float64    // Errors scratch
+	medBuf []float64    // sorted-error scratch (recordPoint)
+	sumBuf []stats.Sum2 // recomputeTargets scratch
 }
 
 // EngineOption configures an Engine at construction time.
@@ -240,7 +248,6 @@ func New(g *topology.Graph, protos []gossip.Protocol, init []gossip.Value, seed 
 		perm:     make([]int, n),
 		errBuf:   make([]float64, 0, n),
 		medBuf:   make([]float64, 0, n),
-		estBuf:   make([]float64, width),
 		sumBuf:   make([]stats.Sum2, width),
 	}
 	for _, opt := range opts {
@@ -265,9 +272,7 @@ func New(g *topology.Graph, protos []gossip.Protocol, init []gossip.Value, seed 
 			e.lastSent[i] = make([]int, n)
 		}
 	}
-	if e.shards > 0 {
-		e.initShards(seed)
-	}
+	e.initShards(seed)
 	e.seedLossRNG(seed)
 	e.recomputeTargets()
 	return e
@@ -317,8 +322,8 @@ func (e *Engine) Reset(seed int64) {
 	}
 	clear(e.dead)
 	clear(e.silenced)
-	// New leaves perm as the identity permutation; shufflePerm mutates it
-	// in place every round, so restoring the identity is what makes the
+	// New leaves perm as the identity permutation; the sequential schedule
+	// shuffles it in place every round, so restoring the identity is what makes the
 	// reused RNG stream reproduce a fresh engine's schedule.
 	for i := range e.perm {
 		e.perm[i] = i
@@ -335,12 +340,10 @@ func (e *Engine) Reset(seed int64) {
 			}
 		}
 	}
-	if e.shards > 0 {
-		e.seedNodeRNG(seed)
-		// Queued messages and staged trace events are per-trial state:
-		// nothing from the finished trial may leak into the next one.
-		e.dropShardQueues()
-	}
+	e.seedNodeRNG(seed)
+	// Queued messages and staged trace events are per-trial state:
+	// nothing from the finished trial may leak into the next one.
+	e.dropShardQueues()
 	if e.nodeCkpt != nil {
 		// Per-node crash-restart checkpoints belong to the finished
 		// trial; a RestartNode in the next trial must not revive state
@@ -378,23 +381,19 @@ func (e *Engine) ResetWithInputs(seed int64, init []gossip.Value) {
 	if width != e.width {
 		// Pooled messages carry width-sized flow backing: a width change
 		// invalidates every free list and width-sized scratch buffer.
-		// Narrower pooled messages are dropped by the putMsg guards as the
-		// inboxes drain during Reset below.
+		// Narrower pooled messages are dropped by the putMsgShard guard as
+		// the inboxes drain during Reset below.
 		e.width = width
-		e.msgPool = nil
-		e.estBuf = make([]float64, width)
 		e.sumBuf = make([]stats.Sum2, width)
 		e.targets = make([]float64, width)
 		if e.probeSums != nil {
 			e.probeSums = make([]stats.Sum2, width)
 			e.probeVal = gossip.NewValue(width)
 		}
-		if e.shard != nil {
-			ests := paddedRows[float64](e.shards, width)
-			for s := range e.shard.local {
-				e.shard.local[s].pool = nil
-				e.shard.local[s].est = ests[s]
-			}
+		ests := paddedRows[float64](e.shards, width)
+		for s := range e.shard.local {
+			e.shard.local[s].pool = nil
+			e.shard.local[s].est = ests[s]
 		}
 	}
 	for i, v := range init {
@@ -454,146 +453,12 @@ func (e *Engine) recomputeTargets() {
 	}
 }
 
-// getMsg takes a message off the free list (or allocates a fresh one
-// with width-sized flow backing). Callers must fully overwrite its
-// header fields; the flow slices arrive reset to the engine width.
-func (e *Engine) getMsg() *gossip.Message {
-	if n := len(e.msgPool); n > 0 {
-		m := e.msgPool[n-1]
-		e.msgPool = e.msgPool[:n-1]
-		e.rec.Bank(0).Inc(metrics.FreeListHits)
-		return m
-	}
-	e.rec.Bank(0).Inc(metrics.FreeListMisses)
-	return &gossip.Message{Flow1: gossip.NewValue(e.width), Flow2: gossip.NewValue(e.width)}
-}
-
-// putMsg returns a message to the free list, restoring its flow slices
-// to the engine width from their capacity. Messages whose backing
-// arrays cannot hold a full-width value (e.g. injector-fabricated ones)
-// are left to the garbage collector instead of poisoning the pool.
-func (e *Engine) putMsg(m *gossip.Message) {
-	if cap(m.Flow1.X) < e.width || cap(m.Flow2.X) < e.width {
-		return
-	}
-	m.Flow1.X = m.Flow1.X[:e.width]
-	m.Flow2.X = m.Flow2.X[:e.width]
-	e.msgPool = append(e.msgPool, m)
-}
-
-// makeMessage produces node i's push to target as a pooled message.
-func (e *Engine) makeMessage(p gossip.Protocol, target int) *gossip.Message {
-	m := e.getMsg()
-	p.FillMessage(target, m)
-	return m
-}
-
-// makeControl produces a pooled payload-free control message (keepalive
-// or link-down notice): zero-width flows, exactly the wire shape a
-// literal gossip.Message{Kind: ...} has, so interceptors that enumerate
-// payload slots observe the same message shape either way.
-func (e *Engine) makeControl(from, to int, kind gossip.Kind) *gossip.Message {
-	m := e.getMsg()
-	m.From, m.To, m.Kind = from, to, kind
-	m.C, m.R = 0, 0
-	m.Flow1.X = m.Flow1.X[:0]
-	m.Flow1.W = 0
-	m.Flow2.X = m.Flow2.X[:0]
-	m.Flow2.W = 0
-	return m
-}
-
-// Step executes one round. In the legacy model (no WithShards): every
-// live node, in activation order, first processes its inbox and then
-// pushes one message to a uniformly random live neighbor, delivered
-// immediately. With WithShards the phase-split model of shard.go runs
-// instead (frozen inboxes, next-round delivery, per-node RNG streams).
-func (e *Engine) Step() {
-	if e.shards > 0 {
-		e.stepSharded()
-		return
-	}
-	e.shufflePerm()
-	for _, i := range e.perm {
-		if !e.alive[i] || e.hung[i] {
-			continue
-		}
-		p := e.protos[i]
-		e.drainInbox(i)
-		if e.det != nil {
-			for _, j := range e.det[i].Check(float64(e.round)) {
-				p.OnLinkFailure(j)
-				if e.detCfg.DisableReintegration {
-					e.det[i].Remove(j)
-				}
-				if e.rec != nil {
-					b := e.rec.Bank(0)
-					b.Inc(metrics.Suspicions)
-					b.Inc(metrics.Evictions)
-					e.rec.RecordEvent(metrics.Event{Kind: metrics.EvLinkEvicted, Round: e.round, A: i, B: j})
-				}
-			}
-		}
-		if live := p.LiveNeighbors(); len(live) > 0 {
-			target := int(live[e.rng.Intn(len(live))])
-			e.noteSent(i, target)
-			e.rec.Bank(0).Inc(metrics.MsgsSent)
-			e.send(e.makeMessage(p, target))
-		}
-		if e.det != nil {
-			e.sendKeepalives(i)
-		}
-	}
-	e.round++
-}
-
 // noteSent records the round of node i's last send to j for keepalive
 // scheduling.
 func (e *Engine) noteSent(i, j int) {
 	if e.lastSent != nil {
 		e.lastSent[i][j] = e.round
 	}
-}
-
-// sendKeepalives pushes keepalives on live links that have been idle for
-// KeepaliveInterval rounds and probes suspected neighbors every
-// ProbeInterval rounds so that healed links reintegrate (after mutual
-// eviction neither side gossips to the other; only probes can cross a
-// recovered link).
-func (e *Engine) sendKeepalives(i int) {
-	for _, j32 := range e.protos[i].LiveNeighbors() {
-		j := int(j32)
-		if e.round-e.lastSent[i][j] >= e.detCfg.KeepaliveInterval {
-			e.noteSent(i, j)
-			e.keepalives++
-			e.rec.Bank(0).Inc(metrics.Keepalives)
-			e.send(e.makeControl(i, j, gossip.KindKeepalive))
-		}
-	}
-	for _, j := range e.det[i].Suspects() {
-		if e.round-e.lastSent[i][j] >= e.detCfg.ProbeInterval {
-			e.noteSent(i, j)
-			e.keepalives++
-			e.rec.Bank(0).Inc(metrics.Keepalives)
-			e.send(e.makeControl(i, j, gossip.KindKeepalive))
-		}
-	}
-}
-
-func (e *Engine) shufflePerm() {
-	e.rng.Shuffle(len(e.perm), func(a, b int) { e.perm[a], e.perm[b] = e.perm[b], e.perm[a] })
-}
-
-func (e *Engine) drainInbox(i int) {
-	// Process in index order (per-link FIFO); dispatched messages go
-	// straight back to the free list — receivers never retain message
-	// backing (protocols copy payloads into their own state).
-	for k := 0; k < len(e.inbox[i]); k++ {
-		m := e.inbox[i][k]
-		e.dispatch(i, m)
-		e.putMsg(m)
-	}
-	e.inbox[i] = e.inbox[i][:0]
 }
 
 // dispatch routes one delivered message: control messages feed the
@@ -628,73 +493,10 @@ func (e *Engine) heard(i, from int) {
 	if e.det[i].Heard(from, float64(e.round)) && !e.detCfg.DisableReintegration {
 		e.protos[i].OnLinkRecover(from)
 		if e.rec != nil {
-			e.metricsBank(i).Inc(metrics.Reintegrations)
+			e.rec.Bank(int(e.shard.shardOf[i])).Inc(metrics.Reintegrations)
 			e.noteEvent(metrics.Event{Kind: metrics.EvLinkReintegrated, Round: e.round, A: i, B: from})
 		}
 	}
-}
-
-// send routes msg through the link-failure table and the interceptor into
-// the destination inbox. The engine owns msg (pooled): dropped messages
-// are recycled immediately, delivered ones after dispatch.
-func (e *Engine) send(msg *gossip.Message) {
-	key := linkKey(msg.From, msg.To)
-	if e.dead[key] || e.silenced[key] || !e.alive[msg.To] {
-		e.rec.Bank(0).Inc(metrics.MsgsLost)
-		e.putMsg(msg)
-		return // sent into a broken, silenced or dead destination: lost
-	}
-	if e.lossRates != nil && e.lossDrop(msg.From, msg.To) {
-		e.rec.Bank(0).Inc(metrics.MsgsLost)
-		e.putMsg(msg)
-		return // heterogeneous per-link loss (SetLinkLoss)
-	}
-	if e.interceptor == nil {
-		e.rec.Bank(0).Inc(metrics.MsgsDelivered)
-		e.inbox[msg.To] = append(e.inbox[msg.To], msg)
-		return
-	}
-	if e.interceptor.Intercept(e.round, msg) {
-		copies := 1
-		if r, ok := e.interceptor.(Replicator); ok {
-			copies = r.Copies(e.round, msg)
-		}
-		if copies == 0 {
-			e.rec.Bank(0).Inc(metrics.MsgsDropped)
-			e.putMsg(msg)
-		} else {
-			e.rec.Bank(0).Inc(metrics.MsgsDelivered)
-		}
-		for k := 0; k < copies; k++ {
-			if k == 0 {
-				e.inbox[msg.To] = append(e.inbox[msg.To], msg)
-			} else {
-				e.inbox[msg.To] = append(e.inbox[msg.To], e.cloneMsg(msg))
-			}
-		}
-	} else {
-		e.rec.Bank(0).Inc(metrics.MsgsDropped)
-		e.putMsg(msg)
-	}
-	if inj, ok := e.interceptor.(Injector); ok {
-		for _, extra := range inj.Extra(e.round) {
-			k := linkKey(extra.From, extra.To)
-			if e.dead[k] || e.silenced[k] || !e.alive[extra.To] {
-				continue
-			}
-			e.inbox[extra.To] = append(e.inbox[extra.To], e.cloneMsg(&extra))
-		}
-	}
-}
-
-// cloneMsg deep-copies m into a pooled message.
-func (e *Engine) cloneMsg(m *gossip.Message) *gossip.Message {
-	c := e.getMsg()
-	c.From, c.To, c.Kind = m.From, m.To, m.Kind
-	c.C, c.R = m.C, m.R
-	c.Flow1.CopyFrom(m.Flow1)
-	c.Flow2.CopyFrom(m.Flow2)
-	return c
 }
 
 // Drain delivers all pending messages without generating new sends.
@@ -707,14 +509,16 @@ func (e *Engine) Drain() {
 			e.clearInbox(i)
 			continue
 		}
-		e.drainInbox(i)
+		e.drainInboxShard(i, int(e.shard.shardOf[i]))
 	}
 }
 
-// clearInbox discards node i's queued messages back into the free list.
+// clearInbox discards node i's queued messages back into its shard's
+// free list.
 func (e *Engine) clearInbox(i int) {
+	s := int(e.shard.shardOf[i])
 	for _, m := range e.inbox[i] {
-		e.putMsg(m)
+		e.putMsgShard(s, m)
 	}
 	e.inbox[i] = e.inbox[i][:0]
 }
@@ -789,11 +593,12 @@ func (e *Engine) flushLink(i, j int) {
 			e.clearInbox(v)
 			continue
 		}
+		s := int(e.shard.shardOf[v])
 		out := e.inbox[v][:0]
 		for _, m := range e.inbox[v] {
 			if (m.From == i && m.To == j) || (m.From == j && m.To == i) {
 				e.dispatch(v, m)
-				e.putMsg(m)
+				e.putMsgShard(s, m)
 				continue
 			}
 			out = append(out, m)
@@ -836,10 +641,11 @@ func (e *Engine) CrashNode(i int) {
 // only sit in the two endpoint inboxes.
 func (e *Engine) purgeLink(i, j int) {
 	for _, v := range [2]int{i, j} {
+		s := int(e.shard.shardOf[v])
 		out := e.inbox[v][:0]
 		for _, m := range e.inbox[v] {
 			if (m.From == i && m.To == j) || (m.From == j && m.To == i) {
-				e.putMsg(m)
+				e.putMsgShard(s, m)
 				continue
 			}
 			out = append(out, m)
@@ -969,29 +775,19 @@ func (e *Engine) Estimates() [][]float64 {
 	return out
 }
 
-// Errors returns, for each alive node, the worst relative error over all
-// data components against the oracle aggregate. The returned slice is
-// reused across calls. It always scans the current state (on a sharded
-// engine, as one fan-out over the shards); Run gets the same values
-// from the round's activation instead (stepErrors).
+// Errors returns, for each alive node in ascending id order, the worst
+// relative error over all data components against the oracle aggregate.
+// The returned slice is reused across calls. It always scans the current
+// state, as one fan-out over the shards; Run gets the same values from
+// the round's activation instead (stepErrors).
 func (e *Engine) Errors() []float64 {
-	if e.shards > 0 {
-		return e.errorsSharded()
-	}
-	e.errBuf = e.errBuf[:0]
-	for i, p := range e.protos {
-		if !e.alive[i] {
-			continue
-		}
-		e.estBuf = p.EstimateInto(e.estBuf)
-		e.errBuf = append(e.errBuf, e.worstErr(e.estBuf))
-	}
-	return e.errBuf
+	e.runShards("errors", metrics.PhaseErrors, e.shard.errorsTask)
+	return e.mergeShardErrs()
 }
 
 // worstErr returns the worst relative error of one node's estimate
 // vector against the oracle targets (NaN as soon as any component is
-// NaN), the per-node metric shared by the serial and sharded scans.
+// NaN), the per-node metric of the error scan.
 func (e *Engine) worstErr(est []float64) float64 {
 	worst := 0.0
 	for k, t := range e.targets {

@@ -16,8 +16,8 @@ package sim
 // the uninterrupted run at every shard count — snapshots record no
 // shard layout (node streams are derived from ids, the merge order from
 // ascending node ids), so a snapshot taken at shards=2 restores into a
-// shards=8 engine and continues the same schedule. Only the sharded
-// executor supports this: the legacy sequential model draws from one
+// shards=8 engine and continues the same schedule. Only the phase-split
+// schedule supports this: the sequential schedule draws from one
 // *math/rand.Rand whose internal state cannot be serialized.
 //
 // This file also hosts the per-node recovery mode: CheckpointNode
@@ -62,15 +62,15 @@ type Snapshot struct {
 }
 
 // ErrNotSharded is returned by Snapshot/Restore on an engine running
-// the legacy sequential model, whose *math/rand.Rand schedule state
+// the sequential schedule, whose *math/rand.Rand schedule state
 // cannot be serialized. Construct the engine with WithShards (1 is
 // enough) to checkpoint it.
-var ErrNotSharded = errors.New("sim: snapshot requires the sharded executor (construct the engine with WithShards)")
+var ErrNotSharded = errors.New("sim: snapshot requires the phase-split schedule (construct the engine with WithShards)")
 
 // Snapshot captures the engine's full deterministic state. The engine
 // must be at a round boundary, which it always is between Step calls.
 func (e *Engine) Snapshot() (*Snapshot, error) {
-	if e.shards <= 0 {
+	if e.seq {
 		return nil, ErrNotSharded
 	}
 	n := len(e.protos)
@@ -305,11 +305,9 @@ func (e *Engine) appendNodeScaffold(id int) {
 		}
 		e.lastSent = append(e.lastSent, make([]int, id+1))
 	}
-	if e.shard != nil {
-		e.shard.nodeRNG = append(e.shard.nodeRNG, 0) // overwritten by the main stream
-		e.shard.shardOf = append(e.shard.shardOf, int32(e.shards-1))
-		e.shard.nodes[e.shards-1] = append(e.shard.nodes[e.shards-1], int32(id))
-	}
+	e.shard.nodeRNG = append(e.shard.nodeRNG, 0) // overwritten by the main stream
+	e.shard.shardOf = append(e.shard.shardOf, int32(e.shards-1))
+	e.shard.nodes[e.shards-1] = append(e.shard.nodes[e.shards-1], int32(id))
 }
 
 // Restore rewinds the engine to the snapshot's state. The engine must
@@ -323,7 +321,7 @@ func (e *Engine) appendNodeScaffold(id int) {
 // On error the engine state is unspecified; Reset it before further
 // use.
 func (e *Engine) Restore(s *Snapshot) error {
-	if e.shards <= 0 {
+	if e.seq {
 		return ErrNotSharded
 	}
 	// Rewind any membership state of the current trial, then rebuild the

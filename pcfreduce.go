@@ -216,10 +216,11 @@ type ReduceOptions struct {
 	// Seed makes the randomized schedule reproducible (default 1).
 	Seed int64
 	// LossRate, when > 0, drops each message independently with this
-	// probability (seeded).
+	// probability (seeded). It must lie in [0, 1].
 	LossRate float64
 	// LinkFailures schedules permanent link failures: at the given
-	// round both endpoints are notified and stop using the link.
+	// round (≥ 0) both endpoints are notified and stop using the link,
+	// which must be an edge of Topology.
 	LinkFailures []LinkFailure
 	// NodeCrashes schedules permanent node failures: all the node's
 	// links fail and it stops participating. The reported Exact value
@@ -229,12 +230,12 @@ type ReduceOptions struct {
 	// number of the completed round and the maximal relative local
 	// error it ended with.
 	Trace func(round int, maxErr float64)
-	// Shards, when > 0, runs the reduction on the sharded executor with
-	// that many worker shards. Results are byte-identical for any
-	// Shards ≥ 1 (only wall-clock time changes), but the sharded
-	// executor's deterministic schedule differs from the default
-	// sequential one, so Shards=0 and Shards=1 runs are distinct
-	// reproducible experiments.
+	// Shards, when > 0, runs the reduction under the phase-split
+	// schedule with that many worker shards. Results are byte-identical
+	// for any Shards ≥ 1 (only wall-clock time changes), but that
+	// deterministic schedule differs from the default sequential one,
+	// so Shards=0 and Shards=1 runs are distinct reproducible
+	// experiments.
 	Shards int
 	// CacheAware, with Shards > 1, lays the shards out with the
 	// cache-aware partitioner instead of contiguous id blocks: shards
@@ -283,45 +284,98 @@ type ReduceResult struct {
 // topology in the deterministic round simulator and returns every node's
 // final estimate. len(inputs) must equal the topology's node count.
 func Reduce(inputs []float64, algo Algorithm, opt ReduceOptions) (ReduceResult, error) {
+	if err := opt.validate(len(inputs)); err != nil {
+		return ReduceResult{}, err
+	}
+	init := make([]Value, len(inputs))
+	for i, x := range inputs {
+		init[i] = gossip.Scalar(x, opt.Aggregate.InitialWeight(i))
+	}
+	return reduceScalar(init, algo, opt), nil
+}
+
+// validate rejects options the engine cannot run, before any engine is
+// built: a missing or disconnected topology, an input count that does
+// not match it, a negative shard count, a loss rate that is not a
+// probability, and scheduled faults that name a node outside the
+// topology, a link that is not one of its edges, or a negative round.
+// Shared by Reduce, ReduceBatch and WeightedReduce.
+func (opt *ReduceOptions) validate(inputs int) error {
 	if opt.Topology == nil {
-		return ReduceResult{}, errors.New("pcfreduce: ReduceOptions.Topology is required")
+		return errors.New("pcfreduce: ReduceOptions.Topology is required")
 	}
 	n := opt.Topology.N()
-	if len(inputs) != n {
-		return ReduceResult{}, fmt.Errorf("pcfreduce: %d inputs for %d nodes", len(inputs), n)
+	if inputs != n {
+		return fmt.Errorf("pcfreduce: %d inputs for %d nodes", inputs, n)
 	}
 	if !opt.Topology.IsConnected() {
-		return ReduceResult{}, errors.New("pcfreduce: topology must be connected")
+		return errors.New("pcfreduce: topology must be connected")
 	}
 	if opt.Shards < 0 {
-		return ReduceResult{}, fmt.Errorf("pcfreduce: ReduceOptions.Shards is %d, want ≥ 0", opt.Shards)
+		return fmt.Errorf("pcfreduce: ReduceOptions.Shards is %d, want ≥ 0", opt.Shards)
 	}
-	applyReduceDefaults(&opt, n)
-	protos := make([]Protocol, n)
+	if !(opt.LossRate >= 0 && opt.LossRate <= 1) {
+		return fmt.Errorf("pcfreduce: ReduceOptions.LossRate is %g, want a probability in [0, 1]", opt.LossRate)
+	}
+	for _, lf := range opt.LinkFailures {
+		switch {
+		case lf.Round < 0:
+			return fmt.Errorf("pcfreduce: link failure (%d,%d) at round %d, want ≥ 0", lf.A, lf.B, lf.Round)
+		case lf.A < 0 || lf.A >= n || lf.B < 0 || lf.B >= n:
+			return fmt.Errorf("pcfreduce: link failure (%d,%d) names a node outside [0,%d)", lf.A, lf.B, n)
+		case !opt.Topology.HasEdge(lf.A, lf.B):
+			return fmt.Errorf("pcfreduce: link failure (%d,%d) is not an edge of the topology", lf.A, lf.B)
+		}
+	}
+	for _, nc := range opt.NodeCrashes {
+		switch {
+		case nc.Round < 0:
+			return fmt.Errorf("pcfreduce: crash of node %d at round %d, want ≥ 0", nc.Node, nc.Round)
+		case nc.Node < 0 || nc.Node >= n:
+			return fmt.Errorf("pcfreduce: crash of node %d, outside [0,%d)", nc.Node, n)
+		}
+	}
+	return nil
+}
+
+// run is the engine setup and run shared by Reduce, ReduceBatch and
+// WeightedReduce: one protocol instance per node starting from init, the
+// loss interceptor, the metrics recorder and the scheduled link failures
+// and node crashes, run to Eps or MaxRounds. opt must have passed
+// validate.
+func run(init []Value, algo Algorithm, opt ReduceOptions) (*sim.Engine, sim.Result) {
+	applyReduceDefaults(&opt, len(init))
+	protos := make([]Protocol, len(init))
 	for i := range protos {
 		protos[i] = algo.NewNode()
 	}
-	e := sim.NewScalar(opt.Topology, protos, inputs, opt.Aggregate, opt.Seed, opt.engineOptions()...)
+	e := sim.New(opt.Topology, protos, init, opt.Seed, opt.engineOptions()...)
 	if opt.LossRate > 0 {
 		e.SetInterceptor(fault.NewLoss(opt.LossRate, opt.Seed+1))
 	}
 	if opt.Metrics != nil {
 		e.SetMetrics(opt.Metrics)
 	}
-	var events []fault.Event
+	plan := fault.NewPlan()
 	for _, lf := range opt.LinkFailures {
-		events = append(events, fault.LinkFailure(lf.Round, lf.A, lf.B))
+		plan.Add(fault.LinkFailure(lf.Round, lf.A, lf.B))
 	}
 	for _, nc := range opt.NodeCrashes {
-		events = append(events, fault.NodeCrash(nc.Round, nc.Node))
+		plan.Add(fault.NodeCrash(nc.Round, nc.Node))
 	}
-	plan := fault.NewPlan(events...)
-	res := e.Run(sim.RunConfig{
+	return e, e.Run(sim.RunConfig{
 		MaxRounds:  opt.MaxRounds,
 		Eps:        opt.Eps,
 		OnRound:    plan.OnRound,
 		AfterRound: opt.Trace,
 	})
+}
+
+// reduceScalar runs a width-1 reduction and reports it; a crashed node
+// has no estimate, so its slot holds NaN and indices still line up with
+// node ids.
+func reduceScalar(init []Value, algo Algorithm, opt ReduceOptions) ReduceResult {
+	e, res := run(init, algo, opt)
 	out := ReduceResult{
 		Exact:     e.Targets()[0],
 		Rounds:    res.Rounds,
@@ -329,15 +383,13 @@ func Reduce(inputs []float64, algo Algorithm, opt ReduceOptions) (ReduceResult, 
 		MaxError:  e.MaxError(),
 	}
 	for _, est := range e.Estimates() {
-		if est == nil {
-			// Crashed node: it has no estimate; report NaN in its slot
-			// so indices still line up with node ids.
-			out.Estimates = append(out.Estimates, math.NaN())
-			continue
+		x := math.NaN()
+		if est != nil {
+			x = est[0]
 		}
-		out.Estimates = append(out.Estimates, est[0])
+		out.Estimates = append(out.Estimates, x)
 	}
-	return out, nil
+	return out
 }
 
 // engineOptions translates the sharding fields into engine options.
@@ -390,56 +442,21 @@ type BatchResult struct {
 // corresponding scalars. Faults, sharding and metrics options apply
 // exactly as in Reduce.
 func ReduceBatch(inputs [][]float64, algo Algorithm, opt ReduceOptions) (BatchResult, error) {
-	if opt.Topology == nil {
-		return BatchResult{}, errors.New("pcfreduce: ReduceOptions.Topology is required")
-	}
-	n := opt.Topology.N()
-	if len(inputs) != n {
-		return BatchResult{}, fmt.Errorf("pcfreduce: %d inputs for %d nodes", len(inputs), n)
+	if err := opt.validate(len(inputs)); err != nil {
+		return BatchResult{}, err
 	}
 	k := len(inputs[0])
 	if k < 1 {
 		return BatchResult{}, errors.New("pcfreduce: ReduceBatch needs width ≥ 1")
 	}
+	init := make([]Value, len(inputs))
 	for i, v := range inputs {
 		if len(v) != k {
 			return BatchResult{}, fmt.Errorf("pcfreduce: input %d has width %d, want %d", i, len(v), k)
 		}
+		init[i] = Value{X: v, W: opt.Aggregate.InitialWeight(i)}
 	}
-	if !opt.Topology.IsConnected() {
-		return BatchResult{}, errors.New("pcfreduce: topology must be connected")
-	}
-	if opt.Shards < 0 {
-		return BatchResult{}, fmt.Errorf("pcfreduce: ReduceOptions.Shards is %d, want ≥ 0", opt.Shards)
-	}
-	applyReduceDefaults(&opt, n)
-	protos := make([]Protocol, n)
-	init := make([]Value, n)
-	for i := range protos {
-		protos[i] = algo.NewNode()
-		init[i] = Value{X: append([]float64(nil), inputs[i]...), W: opt.Aggregate.InitialWeight(i)}
-	}
-	e := sim.New(opt.Topology, protos, init, opt.Seed, opt.engineOptions()...)
-	if opt.LossRate > 0 {
-		e.SetInterceptor(fault.NewLoss(opt.LossRate, opt.Seed+1))
-	}
-	if opt.Metrics != nil {
-		e.SetMetrics(opt.Metrics)
-	}
-	var events []fault.Event
-	for _, lf := range opt.LinkFailures {
-		events = append(events, fault.LinkFailure(lf.Round, lf.A, lf.B))
-	}
-	for _, nc := range opt.NodeCrashes {
-		events = append(events, fault.NodeCrash(nc.Round, nc.Node))
-	}
-	plan := fault.NewPlan(events...)
-	res := e.Run(sim.RunConfig{
-		MaxRounds:  opt.MaxRounds,
-		Eps:        opt.Eps,
-		OnRound:    plan.OnRound,
-		AfterRound: opt.Trace,
-	})
+	e, res := run(init, algo, opt)
 	out := BatchResult{
 		Exact:     append([]float64(nil), e.Targets()...),
 		Rounds:    res.Rounds,
@@ -450,14 +467,12 @@ func ReduceBatch(inputs [][]float64, algo Algorithm, opt ReduceOptions) (BatchRe
 		if est == nil {
 			// Crashed node: report NaNs in its slot so indices still
 			// line up with node ids.
-			nan := make([]float64, k)
-			for c := range nan {
-				nan[c] = math.NaN()
+			est = make([]float64, k)
+			for c := range est {
+				est[c] = math.NaN()
 			}
-			out.Estimates = append(out.Estimates, nan)
-			continue
 		}
-		out.Estimates = append(out.Estimates, append([]float64(nil), est...))
+		out.Estimates = append(out.Estimates, est)
 	}
 	return out, nil
 }
@@ -728,45 +743,21 @@ func Eigen(a *Matrix, algo Algorithm, opt EigenOptions) (EigenResult, error) {
 // WeightedReduce computes the weighted mean Σ wᵢ·xᵢ / Σ wᵢ of the
 // per-node inputs with the given positive per-node weights, using the
 // same gossip machinery as Reduce (node i contributes mass (wᵢ·xᵢ, wᵢ)).
-// The Aggregate field of opt is ignored.
+// The Aggregate field of opt is ignored; every other field applies
+// exactly as in Reduce.
 func WeightedReduce(inputs, weights []float64, algo Algorithm, opt ReduceOptions) (ReduceResult, error) {
-	if opt.Topology == nil {
-		return ReduceResult{}, errors.New("pcfreduce: ReduceOptions.Topology is required")
+	if err := opt.validate(len(inputs)); err != nil {
+		return ReduceResult{}, err
 	}
-	n := opt.Topology.N()
-	if len(inputs) != n || len(weights) != n {
-		return ReduceResult{}, fmt.Errorf("pcfreduce: %d inputs / %d weights for %d nodes", len(inputs), len(weights), n)
+	if len(weights) != len(inputs) {
+		return ReduceResult{}, fmt.Errorf("pcfreduce: %d weights for %d nodes", len(weights), len(inputs))
 	}
+	init := make([]Value, len(inputs))
 	for i, w := range weights {
 		if !(w > 0) {
 			return ReduceResult{}, fmt.Errorf("pcfreduce: weight %d is %g, want > 0", i, w)
 		}
+		init[i] = gossip.Scalar(w*inputs[i], w)
 	}
-	if !opt.Topology.IsConnected() {
-		return ReduceResult{}, errors.New("pcfreduce: topology must be connected")
-	}
-	applyReduceDefaults(&opt, n)
-	protos := make([]Protocol, n)
-	for i := range protos {
-		protos[i] = algo.NewNode()
-	}
-	init := make([]Value, n)
-	for i := range init {
-		init[i] = gossip.Scalar(weights[i]*inputs[i], weights[i])
-	}
-	e := sim.New(opt.Topology, protos, init, opt.Seed)
-	if opt.LossRate > 0 {
-		e.SetInterceptor(fault.NewLoss(opt.LossRate, opt.Seed+1))
-	}
-	res := e.Run(sim.RunConfig{MaxRounds: opt.MaxRounds, Eps: opt.Eps, AfterRound: opt.Trace})
-	out := ReduceResult{
-		Exact:     e.Targets()[0],
-		Rounds:    res.Rounds,
-		Converged: res.Converged,
-		MaxError:  e.MaxError(),
-	}
-	for _, est := range e.Estimates() {
-		out.Estimates = append(out.Estimates, est[0])
-	}
-	return out, nil
+	return reduceScalar(init, algo, opt), nil
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"pcfreduce"
+	"pcfreduce/internal/metrics"
 )
 
 func inputsFor(g *pcfreduce.Graph) []float64 {
@@ -552,5 +553,124 @@ func TestQRBatched(t *testing.T) {
 	}
 	if batched.FactorizationError > 1e-12 || batched.OrthogonalityError > 1e-12 {
 		t.Fatalf("batched QR quality: fe=%.3e oe=%.3e", batched.FactorizationError, batched.OrthogonalityError)
+	}
+}
+
+// Options the engine cannot run are rejected with an error by every
+// facade entry point instead of panicking inside the engine.
+func TestReduceOptionsRejected(t *testing.T) {
+	g := pcfreduce.Hypercube(5) // 32 nodes; 0 and 7 are not adjacent
+	in := inputsFor(g)
+	batch := make([][]float64, len(in))
+	weights := make([]float64, len(in))
+	for i, x := range in {
+		batch[i] = []float64{x, -x}
+		weights[i] = 1
+	}
+	cases := []struct {
+		name string
+		opt  pcfreduce.ReduceOptions
+	}{
+		{"loss NaN", pcfreduce.ReduceOptions{LossRate: math.NaN()}},
+		{"loss above 1", pcfreduce.ReduceOptions{LossRate: 1.5}},
+		{"loss negative", pcfreduce.ReduceOptions{LossRate: -0.1}},
+		{"link non-edge", pcfreduce.ReduceOptions{LinkFailures: []pcfreduce.LinkFailure{{Round: 3, A: 0, B: 7}}}},
+		{"link self", pcfreduce.ReduceOptions{LinkFailures: []pcfreduce.LinkFailure{{Round: 3, A: 4, B: 4}}}},
+		{"link id out of range", pcfreduce.ReduceOptions{LinkFailures: []pcfreduce.LinkFailure{{Round: 3, A: 0, B: 32}}}},
+		{"link id negative", pcfreduce.ReduceOptions{LinkFailures: []pcfreduce.LinkFailure{{Round: 3, A: -1, B: 0}}}},
+		{"link round negative", pcfreduce.ReduceOptions{LinkFailures: []pcfreduce.LinkFailure{{Round: -1, A: 0, B: 1}}}},
+		{"crash id out of range", pcfreduce.ReduceOptions{NodeCrashes: []pcfreduce.NodeCrash{{Round: 3, Node: 32}}}},
+		{"crash id negative", pcfreduce.ReduceOptions{NodeCrashes: []pcfreduce.NodeCrash{{Round: 3, Node: -1}}}},
+		{"crash round negative", pcfreduce.ReduceOptions{NodeCrashes: []pcfreduce.NodeCrash{{Round: -2, Node: 3}}}},
+	}
+	calls := map[string]func(pcfreduce.ReduceOptions) error{
+		"Reduce": func(o pcfreduce.ReduceOptions) error {
+			_, err := pcfreduce.Reduce(in, pcfreduce.PCF, o)
+			return err
+		},
+		"ReduceBatch": func(o pcfreduce.ReduceOptions) error {
+			_, err := pcfreduce.ReduceBatch(batch, pcfreduce.PCF, o)
+			return err
+		},
+		"WeightedReduce": func(o pcfreduce.ReduceOptions) error {
+			_, err := pcfreduce.WeightedReduce(in, weights, pcfreduce.PCF, o)
+			return err
+		},
+	}
+	for _, c := range cases {
+		for name, call := range calls {
+			opt := c.opt
+			opt.Topology = g
+			opt.MaxRounds = 10
+			if err := call(opt); err == nil {
+				t.Errorf("%s accepted %s", name, c.name)
+			}
+		}
+	}
+	// The boundary values are valid.
+	for name, call := range calls {
+		opt := pcfreduce.ReduceOptions{
+			Topology:     g,
+			MaxRounds:    10,
+			LossRate:     1,
+			LinkFailures: []pcfreduce.LinkFailure{{Round: 0, A: 0, B: 1}},
+			NodeCrashes:  []pcfreduce.NodeCrash{{Round: 0, Node: 31}},
+		}
+		if err := call(opt); err != nil {
+			t.Errorf("%s rejected valid options: %v", name, err)
+		}
+	}
+}
+
+// WeightedReduce honours every ReduceOptions field but Aggregate: with
+// unit weights it is bit-identical to Reduce under the same link
+// failure, node crash, shard count and recorder, and the recorder sees
+// both faults.
+func TestWeightedReduceAppliesFaults(t *testing.T) {
+	g := pcfreduce.Hypercube(5)
+	in := inputsFor(g)
+	weights := make([]float64, len(in))
+	for i := range weights {
+		weights[i] = 1
+	}
+	opts := func(rec *pcfreduce.MetricsRecorder) pcfreduce.ReduceOptions {
+		return pcfreduce.ReduceOptions{
+			Topology:     g,
+			Eps:          1e-12,
+			MaxRounds:    5000,
+			LinkFailures: []pcfreduce.LinkFailure{{Round: 20, A: 0, B: 1}},
+			NodeCrashes:  []pcfreduce.NodeCrash{{Round: 0, Node: 9}},
+			Shards:       2,
+			Metrics:      rec,
+		}
+	}
+	rec := pcfreduce.NewMetrics(pcfreduce.MetricsConfig{})
+	got, err := pcfreduce.WeightedReduce(in, weights, pcfreduce.PCF, opts(rec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := pcfreduce.Reduce(in, pcfreduce.PCF, opts(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Converged || got.Rounds != want.Rounds || math.Float64bits(got.MaxError) != math.Float64bits(want.MaxError) {
+		t.Fatalf("WeightedReduce: converged %v after %d rounds at %.3e; Reduce: %d rounds at %.3e",
+			got.Converged, got.Rounds, got.MaxError, want.Rounds, want.MaxError)
+	}
+	for i := range want.Estimates {
+		if math.Float64bits(got.Estimates[i]) != math.Float64bits(want.Estimates[i]) {
+			t.Fatalf("node %d: WeightedReduce %.17g, Reduce %.17g", i, got.Estimates[i], want.Estimates[i])
+		}
+	}
+	if !math.IsNaN(got.Estimates[9]) {
+		t.Fatal("crashed node must report NaN")
+	}
+	var linkFail, crash bool
+	for _, ev := range rec.Events() {
+		linkFail = linkFail || (ev.Kind == metrics.EvLinkFail && ev.A == 0 && ev.B == 1)
+		crash = crash || (ev.Kind == metrics.EvNodeCrash && ev.A == 9)
+	}
+	if !linkFail || !crash {
+		t.Fatalf("recorder saw link failure %v, node crash %v", linkFail, crash)
 	}
 }
