@@ -53,6 +53,8 @@
 package core
 
 import (
+	"slices"
+
 	"pcfreduce/internal/gossip"
 )
 
@@ -87,37 +89,35 @@ func (v Variant) String() string {
 // OnLinkFailure so that OnLinkRecover can reinstate it (see there for
 // why restoring beats restarting clean).
 type edgeSnapshot struct {
-	f [2]gossip.Value
+	f []float64 // both slots, in the node's flat vector layout
 	c uint8
 	r uint64
 }
 
 // Node is the push-cancel-flow state machine for a single node.
 //
-// Per-neighbor edge state lives in struct-of-arrays form, parallel to
-// the neighbor list: edge k's two flow slots are slots[2k] and
-// slots[2k+1], and every slot's X vector is a view into one shared
-// backing array, so the robust variant's local-mass computation (one
-// pass over all slots per send) streams through contiguous memory. The
-// map only translates sender ids to edge indices on the receive path of
-// high-degree nodes.
+// All of a node's floats — v, ϕ, a scratch vector and both flow slots
+// of every edge — live in one flat array at a fixed stride of width+1
+// (X, then W); pcf_state.go describes the layout and the kernels that
+// operate on it. Edge k is the k-th entry of the neighbor list, and the
+// per-edge control state (c, r) and frozen snapshots are arrays
+// parallel to it. Nodes of degree ≤ denseScanMax find a sender's edge
+// by scanning the neighbor list; only larger neighborhoods build an id
+// map.
 type Node struct {
 	variant   Variant
 	id        int
 	neighbors []int32
 	live      []int32
-	init      gossip.Value
-	phi       gossip.Value // ϕ: accumulated flow mass
+	width     int
+	stride    int       // width+1
+	state     []float64 // v, ϕ, scratch, then 2 slots per edge
 
-	slots   []gossip.Value // 2 per edge; X views into backing
-	backing []float64      // flat slot payloads: 2·deg·width floats
-	c       []uint8        // active slot per edge: 0 or 1 (wire: 1 or 2)
-	r       []uint64       // role-change counter per edge
-	saved   []*edgeSnapshot
+	c     []uint8  // active slot per edge: 0 or 1 (wire: 1 or 2)
+	r     []uint64 // role-change counter per edge
+	saved []*edgeSnapshot
 
-	idx     map[int32]int // neighbor id → edge index
-	width   int
-	scratch gossip.Value // reused by FillMessage/EstimateInto
+	idx map[int32]int // neighbor id → edge index; nil up to denseScanMax
 }
 
 // denseScanMax bounds the neighborhood size up to which edgeIndex uses a
@@ -158,56 +158,60 @@ func NewRobust() *Node { return New(VariantRobust) }
 func (n *Node) Variant() Variant { return n.variant }
 
 // Reset implements gossip.Protocol. A repeated Reset over the same
-// neighborhood and value width zeroes the existing edge state in place
+// neighborhood and value width zeroes the existing state in place
 // instead of reallocating it, so restarting a trial on a reused engine
 // does not allocate.
 func (n *Node) Reset(node int, neighbors []int32, init gossip.Value) {
-	reuse := n.idx != nil && n.width == init.Width() && sameInt32s(n.neighbors, neighbors)
+	reuse := n.state != nil && n.width == init.Width() && sameInt32s(n.neighbors, neighbors)
 	n.id = node
 	n.neighbors = append(n.neighbors[:0], neighbors...)
 	n.live = append(n.live[:0], neighbors...)
-	n.init.Set(init)
-	n.width = init.Width()
 	if reuse {
-		n.phi.Zero()
-		for s := range n.slots {
-			n.slots[s].Zero()
-		}
+		clear(n.state)
 		for k := range n.c {
 			n.c[k] = 0
 			n.r[k] = 1
 			n.saved[k] = nil
 		}
-		return
+	} else {
+		deg := len(neighbors)
+		n.width, n.stride = init.Width(), init.Width()+1
+		n.state = make([]float64, (vecSlots+2*deg)*n.stride)
+		n.c = make([]uint8, deg)
+		n.r = make([]uint64, deg)
+		n.saved = make([]*edgeSnapshot, deg)
+		for k := range n.r {
+			n.r[k] = 1
+		}
+		n.idx = nil
+		if deg > denseScanMax {
+			n.buildIndex()
+		}
 	}
-	deg := len(neighbors)
-	n.phi = gossip.NewValue(n.width)
-	n.backing = make([]float64, 2*deg*n.width)
-	n.slots = make([]gossip.Value, 2*deg)
-	for s := range n.slots {
-		n.slots[s].X = n.backing[s*n.width : (s+1)*n.width]
-	}
-	n.c = make([]uint8, deg)
-	n.r = make([]uint64, deg)
-	n.saved = make([]*edgeSnapshot, deg)
-	n.idx = make(map[int32]int, deg)
-	for k, j := range neighbors {
-		n.r[k] = 1
+	setValue(n.vec(vecInit), init)
+}
+
+// buildIndex builds the neighbor id map from the neighbor list.
+func (n *Node) buildIndex() {
+	n.idx = make(map[int32]int, len(n.neighbors))
+	for k, j := range n.neighbors {
 		n.idx[j] = k
 	}
 }
 
-// localInto computes the node's current mass into dst without allocating
-// (beyond growing dst once to the value width): v − ϕ for the efficient
-// variant, v − ϕ − Σ f for the robust variant (paper Sec. III-A).
-func (n *Node) localInto(dst *gossip.Value) {
-	dst.Set(n.init)
-	dst.SubInPlace(n.phi)
+// local computes the node's current mass into the scratch vector and
+// returns it: v − ϕ for the efficient variant, v − ϕ − Σ f for the
+// robust variant (paper Sec. III-A).
+func (n *Node) local() []float64 {
+	l := n.vec(vecScratch)
+	copy(l, n.vec(vecInit))
+	subVec(l, n.vec(vecPhi))
 	if n.variant == VariantRobust {
-		for s := range n.slots {
-			dst.SubInPlace(n.slots[s])
+		for lo := vecSlots * n.stride; lo < len(n.state); lo += n.stride {
+			subVec(l, n.state[lo:lo+n.stride])
 		}
 	}
+	return l
 }
 
 // FillMessage implements gossip.Protocol (paper Fig. 5 lines 30–33):
@@ -218,15 +222,16 @@ func (n *Node) FillMessage(target int, msg *gossip.Message) {
 	if k < 0 {
 		panic("core: send to non-neighbor")
 	}
-	n.localInto(&n.scratch)
-	n.scratch.HalfInPlace()
-	n.slots[2*k+int(n.c[k])].AddInPlace(n.scratch)
+	e := n.local()
+	halfVec(e)
+	f := n.edge(k)
+	addVec(f[int(n.c[k])*n.stride:], e)
 	if n.variant == VariantEfficient {
-		n.phi.AddInPlace(n.scratch) // line 32: ϕ ← ϕ + e/2
+		addVec(n.vec(vecPhi), e) // line 32: ϕ ← ϕ + e/2
 	}
 	msg.From, msg.To, msg.Kind = n.id, target, gossip.KindData
-	msg.Flow1.Set(n.slots[2*k])
-	msg.Flow2.Set(n.slots[2*k+1])
+	store(&msg.Flow1, f[:n.stride])
+	store(&msg.Flow2, f[n.stride:])
 	msg.C = n.c[k] + 1 // wire format counts slots from 1, as the paper does
 	msg.R = n.r[k]
 }
@@ -272,11 +277,13 @@ func (n *Node) Receive(msg gossip.Message) {
 			n.c[k] = peerC
 			n.r[k] = msg.R
 			for s := 0; s < 2; s++ {
+				fs := n.slot(k, s)
 				if n.variant == VariantEfficient {
-					n.phi.SubInPlace(n.slots[2*k+s])
-					n.phi.SubInPlace(peerF[s])
+					phi := n.vec(vecPhi)
+					subVec(phi, fs)
+					subValue(phi, peerF[s])
 				}
-				n.slots[2*k+s].SetNeg(peerF[s])
+				setNegValue(fs, peerF[s])
 			}
 		}
 		return // otherwise stale: wait for a current message
@@ -284,20 +291,21 @@ func (n *Node) Receive(msg gossip.Message) {
 
 	a := int(n.c[k]) // active slot
 	p := 1 - a       // passive slot
-	fa := &n.slots[2*k+a]
-	fp := &n.slots[2*k+p]
+	fa := n.slot(k, a)
+	fp := n.slot(k, p)
 
 	// Lines 10–12: the active slot runs plain push-flow.
 	if n.variant == VariantEfficient {
 		// ϕ ← ϕ − (f(i,j,a) + f(j,i,a)); the flow then becomes −f(j,i,a),
 		// keeping ϕ equal to the node's net outflow.
-		n.phi.SubInPlace(*fa)
-		n.phi.SubInPlace(peerF[a])
+		phi := n.vec(vecPhi)
+		subVec(phi, fa)
+		subValue(phi, peerF[a])
 	}
-	fa.SetNeg(peerF[a])
+	setNegValue(fa, peerF[a])
 
 	switch {
-	case peerF[p].EqualNeg(*fp) && n.r[k] == msg.R:
+	case equalNegValue(peerF[p], fp) && n.r[k] == msg.R:
 		// Lines 13–16, case (i): flow conservation achieved on the
 		// passive slot — cancel our half.
 		n.cancel(k, p)
@@ -324,10 +332,11 @@ func (n *Node) Receive(msg gossip.Message) {
 		// completes the cancellation against our unmodified half.
 		if n.r[k] == msg.R {
 			if n.variant == VariantEfficient {
-				n.phi.SubInPlace(*fp)
-				n.phi.SubInPlace(peerF[p])
+				phi := n.vec(vecPhi)
+				subVec(phi, fp)
+				subValue(phi, peerF[p])
 			}
-			fp.SetNeg(peerF[p])
+			setNegValue(fp, peerF[p])
 		}
 	}
 }
@@ -336,16 +345,16 @@ func (n *Node) Receive(msg gossip.Message) {
 // implicit cancelled mass (efficient variant, where ϕ already accounts
 // for it) and zeroes the slot.
 func (n *Node) cancel(k, s int) {
+	fs := n.slot(k, s)
 	if n.variant == VariantRobust {
-		n.phi.AddInPlace(n.slots[2*k+s])
+		addVec(n.vec(vecPhi), fs)
 	}
-	n.slots[2*k+s].Zero()
+	clear(fs)
 }
 
 // EstimateInto implements gossip.Protocol.
 func (n *Node) EstimateInto(dst []float64) []float64 {
-	n.localInto(&n.scratch)
-	return n.scratch.EstimateInto(dst)
+	return view(n.local()).EstimateInto(dst)
 }
 
 // OnLinkFailure implements gossip.Protocol: exclude the failed link by
@@ -373,23 +382,19 @@ func (n *Node) EstimateInto(dst []float64) []float64 {
 // survivors' initial-data aggregate — the two differ by O(ε(t_crash)/n).
 func (n *Node) OnLinkFailure(neighbor int) {
 	if k := n.edgeIndex(neighbor); k >= 0 {
-		f0, f1 := &n.slots[2*k], &n.slots[2*k+1]
+		f := n.edge(k)
 		// Freeze the edge state first: if the "failure" turns out to be a
 		// false suspicion or a transient outage, OnLinkRecover reinstates
 		// it and the eviction becomes a no-op in retrospect.
-		n.saved[k] = &edgeSnapshot{
-			f: [2]gossip.Value{f0.Clone(), f1.Clone()},
-			c: n.c[k],
-			r: n.r[k],
-		}
+		n.saved[k] = &edgeSnapshot{f: slices.Clone(f), c: n.c[k], r: n.r[k]}
 		if n.variant == VariantRobust {
 			// Fold the slots into ϕ so the estimate v − ϕ − Σf is
 			// unchanged by the zeroing below.
-			n.phi.AddInPlace(*f0)
-			n.phi.AddInPlace(*f1)
+			phi := n.vec(vecPhi)
+			addVec(phi, f[:n.stride])
+			addVec(phi, f[n.stride:])
 		}
-		f0.Zero()
-		f1.Zero()
+		clear(f)
 		n.c[k] = 0
 		n.r[k] = 1
 	}
@@ -415,22 +420,21 @@ func (n *Node) OnLinkRecover(neighbor int) {
 	if k < 0 || contains(n.live, int32(neighbor)) {
 		return
 	}
-	f0, f1 := &n.slots[2*k], &n.slots[2*k+1]
+	f := n.edge(k)
 	if s := n.saved[k]; s != nil {
 		if n.variant == VariantRobust {
 			// Take the slots back out of ϕ; with the slots reinstated
 			// below, v − ϕ − Σf is unchanged.
-			n.phi.SubInPlace(s.f[0])
-			n.phi.SubInPlace(s.f[1])
+			phi := n.vec(vecPhi)
+			subVec(phi, s.f[:n.stride])
+			subVec(phi, s.f[n.stride:])
 		}
-		f0.Set(s.f[0])
-		f1.Set(s.f[1])
+		copy(f, s.f)
 		n.c[k] = s.c
 		n.r[k] = s.r
 		n.saved[k] = nil
 	} else {
-		f0.Zero()
-		f1.Zero()
+		clear(f)
 		n.c[k] = 0
 		n.r[k] = 1
 	}
@@ -448,7 +452,8 @@ func (n *Node) Flow(neighbor int) gossip.Value {
 	if k < 0 {
 		return gossip.NewValue(n.width)
 	}
-	return n.slots[2*k].Add(n.slots[2*k+1])
+	f := n.edge(k)
+	return view(f[:n.stride]).Add(view(f[n.stride:]))
 }
 
 // RoleState returns the (active slot, role counter) control state for the
@@ -464,7 +469,7 @@ func (n *Node) RoleState(neighbor int) (c uint8, r uint64) {
 
 // Phi returns a copy of the node's accumulated flow mass ϕ, exposed for
 // tests.
-func (n *Node) Phi() gossip.Value { return n.phi.Clone() }
+func (n *Node) Phi() gossip.Value { return cloneValue(n.vec(vecPhi)) }
 
 // Slots returns copies of the two flow slots for the given neighbor,
 // exposed for tests of the per-slot flow antisymmetry invariant (after
@@ -475,23 +480,25 @@ func (n *Node) Slots(neighbor int) (f [2]gossip.Value, ok bool) {
 	if k < 0 {
 		return f, false
 	}
-	return [2]gossip.Value{n.slots[2*k].Clone(), n.slots[2*k+1].Clone()}, true
+	e := n.edge(k)
+	return [2]gossip.Value{cloneValue(e[:n.stride]), cloneValue(e[n.stride:])}, true
 }
 
 // SlotViews implements gossip.SlotsViewer: the non-cloning form of
-// Slots for the metrics anti-symmetry probe. The returned views alias
-// the node's slot backing and are valid only until its next state
-// change.
+// Slots for the metrics anti-symmetry probe. Each returned X aliases
+// the node's state and is valid only until its next state change; W is
+// a copy, so writing it does not reach the node.
 func (n *Node) SlotViews(neighbor int) (f [2]gossip.Value, ok bool) {
 	k := n.edgeIndex(neighbor)
 	if k < 0 {
 		return f, false
 	}
-	return [2]gossip.Value{n.slots[2*k], n.slots[2*k+1]}, true
+	e := n.edge(k)
+	return [2]gossip.Value{view(e[:n.stride]), view(e[n.stride:])}, true
 }
 
 // LocalValueInto implements gossip.Protocol.
-func (n *Node) LocalValueInto(dst *gossip.Value) { n.localInto(dst) }
+func (n *Node) LocalValueInto(dst *gossip.Value) { store(dst, n.local()) }
 
 // OnNeighborJoin implements gossip.Protocol: admit a brand-new
 // neighbor with a clean edge — zero slots, active slot 0, role counter
@@ -508,8 +515,7 @@ func (n *Node) OnNeighborJoin(neighbor int) {
 		if contains(n.live, int32(neighbor)) {
 			return
 		}
-		n.slots[2*k].Zero()
-		n.slots[2*k+1].Zero()
+		clear(n.edge(k))
 		n.c[k] = 0
 		n.r[k] = 1
 		n.saved[k] = nil
@@ -517,26 +523,26 @@ func (n *Node) OnNeighborJoin(neighbor int) {
 		return
 	}
 	deg := len(n.neighbors)
-	grown := make([]float64, 2*(deg+1)*n.width)
-	copy(grown, n.backing)
-	n.backing = grown
+	n.state = append(n.state, make([]float64, 2*n.stride)...)
 	n.neighbors = append(n.neighbors, int32(neighbor))
-	n.slots = append(n.slots, gossip.Value{}, gossip.Value{})
-	for s := range n.slots {
-		n.slots[s].X = n.backing[s*n.width : (s+1)*n.width]
-	}
 	n.c = append(n.c, 0)
 	n.r = append(n.r, 1)
 	n.saved = append(n.saved, nil)
-	n.idx[int32(neighbor)] = deg
+	if n.idx != nil {
+		n.idx[int32(neighbor)] = deg
+	} else if len(n.neighbors) > denseScanMax {
+		n.buildIndex()
+	}
 	n.live = append(n.live, int32(neighbor))
 }
 
 // AbsorbMass implements gossip.Protocol: fold a gracefully
 // departing neighbor's surplus into this node's own contribution. ϕ and
 // the slots are untouched, so the local estimate rises by exactly v.
+// It panics if v's width differs from the node's.
 func (n *Node) AbsorbMass(v gossip.Value) {
-	n.init.AddInPlace(v)
+	n.checkWidth("AbsorbMass", v)
+	addValue(n.vec(vecInit), v)
 }
 
 func remove(list []int32, x int32) []int32 {
@@ -573,7 +579,10 @@ func sameInt32s(a, b []int32) bool {
 // SetInput implements gossip.Protocol: live-monitoring input change
 // (the paper's reference [8] use case). Flow slots and ϕ are untouched;
 // the local estimate shifts by the input delta and the network
-// re-averages it, with all of PCF's fault tolerance intact.
+// re-averages it, with all of PCF's fault tolerance intact. The width
+// of a running reduction is fixed: SetInput panics if v's width
+// differs from the node's.
 func (n *Node) SetInput(v gossip.Value) {
-	n.init.Set(v)
+	n.checkWidth("SetInput", v)
+	setValue(n.vec(vecInit), v)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"pcfreduce/internal/fault"
@@ -449,6 +450,71 @@ func TestResetReuse(t *testing.T) {
 	}
 	if !a.Phi().IsZero() {
 		t.Fatal("ϕ after Reset")
+	}
+
+	// A repeat Reset over the same neighborhood reuses the state in
+	// place; a fresh one allocates a fixed number of arrays whatever the
+	// degree (the id map, built only above denseScanMax, is one more
+	// fixed set).
+	neighbors := func(deg int) []int32 {
+		out := make([]int32, deg)
+		for k := range out {
+			out[k] = int32(k + 1)
+		}
+		return out
+	}
+	init := gossip.Vector([]float64{3, 4}, 1)
+	for _, v := range []Variant{VariantEfficient, VariantRobust} {
+		nb := neighbors(8)
+		b := New(v)
+		b.Reset(0, nb, init)
+		var msg gossip.Message
+		b.FillMessage(1, &msg)
+		if n := testing.AllocsPerRun(20, func() {
+			b.FillMessage(1, &msg)
+			b.Reset(0, nb, init)
+		}); n != 0 {
+			t.Errorf("%v: repeat Reset allocates %.0f times", v, n)
+		}
+		for _, degs := range [][]int{{1, 4, 16, denseScanMax}, {denseScanMax + 1, 100, 500}} {
+			var first float64
+			for i, deg := range degs {
+				nb := neighbors(deg)
+				n := testing.AllocsPerRun(20, func() { New(v).Reset(0, nb, init) })
+				if i == 0 {
+					first = n
+				} else if n != first {
+					t.Errorf("%v: fresh Reset at degree %d allocates %.0f times, at degree %d %.0f",
+						v, deg, n, degs[0], first)
+				}
+			}
+		}
+	}
+}
+
+// SetInput cannot change the width of a running reduction: it panics at
+// the call, naming the widths, instead of leaving v at a new width that
+// the next exchange trips over.
+func TestSetInputWidthPanics(t *testing.T) {
+	for _, v := range []Variant{VariantEfficient, VariantRobust} {
+		a := New(v)
+		a.Reset(0, []int32{1}, gossip.Scalar(8, 1))
+		a.SetInput(gossip.Scalar(5, 1))
+		if got := a.EstimateInto(nil)[0]; got != 5 {
+			t.Fatalf("%v: estimate after SetInput %g, want 5", v, got)
+		}
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "core: SetInput with width 2 on a node of width 1") {
+					t.Errorf("%v: SetInput width change: panic %q", v, msg)
+				}
+			}()
+			a.SetInput(gossip.Vector([]float64{1, 2}, 1))
+		}()
+		if got := a.EstimateInto(nil); len(got) != 1 || got[0] != 5 {
+			t.Fatalf("%v: rejected SetInput changed the estimate to %v", v, got)
+		}
 	}
 }
 

@@ -34,8 +34,8 @@ import (
 // neighbor list: the flow and last-estimate X vectors are views into one
 // shared backing array, so the averaging pass (over all flows and known
 // neighbor estimates per send) streams through contiguous memory without
-// hashing. The map only translates sender ids to slice positions on the
-// receive path of high-degree nodes.
+// hashing. Nodes of degree ≤ denseScanMax find a sender by scanning the
+// neighbor list; only larger neighborhoods build an id map.
 type Node struct {
 	id        int
 	neighbors []int32
@@ -45,7 +45,7 @@ type Node struct {
 	lastEst   []gossip.Value // last estimate reported by each neighbor; views too
 	known     []bool         // whether we have heard from the neighbor yet
 	backing   []float64      // flat payloads: 2·deg·width floats (flows, then estimates)
-	idx       map[int32]int  // neighbor id → position in the parallel slices
+	idx       map[int32]int  // neighbor id → position; nil up to denseScanMax
 	width     int
 	scrAvg    gossip.Value // reused by FillMessage (averaging target)
 	scrDelta  gossip.Value // reused by FillMessage (flow adjustment)
@@ -84,7 +84,7 @@ func (n *Node) indexOf(neighbor int) int {
 // place instead of reallocating it, so restarting a trial on a reused
 // engine does not allocate.
 func (n *Node) Reset(node int, neighbors []int32, init gossip.Value) {
-	reuse := n.idx != nil && n.width == init.Width() && sameInt32s(n.neighbors, neighbors)
+	reuse := n.flowList != nil && n.width == init.Width() && sameInt32s(n.neighbors, neighbors)
 	n.id = node
 	n.neighbors = append(n.neighbors[:0], neighbors...)
 	n.live = append(n.live[:0], neighbors...)
@@ -103,10 +103,20 @@ func (n *Node) Reset(node int, neighbors []int32, init gossip.Value) {
 	n.flowList = make([]gossip.Value, deg)
 	n.lastEst = make([]gossip.Value, deg)
 	n.known = make([]bool, deg)
-	n.idx = make(map[int32]int, deg)
-	for k, j := range neighbors {
+	for k := range n.flowList {
 		n.flowList[k].X = n.backing[k*n.width : (k+1)*n.width]
 		n.lastEst[k].X = n.backing[(deg+k)*n.width : (deg+k+1)*n.width]
+	}
+	n.idx = nil
+	if deg > denseScanMax {
+		n.buildIndex()
+	}
+}
+
+// buildIndex builds the neighbor id map from the neighbor list.
+func (n *Node) buildIndex() {
+	n.idx = make(map[int32]int, len(n.neighbors))
+	for k, j := range n.neighbors {
 		n.idx[j] = k
 	}
 }
@@ -263,7 +273,11 @@ func (n *Node) OnNeighborJoin(neighbor int) {
 		n.flowList[k].X = n.backing[k*n.width : (k+1)*n.width]
 		n.lastEst[k].X = n.backing[(deg+1+k)*n.width : (deg+2+k)*n.width]
 	}
-	n.idx[int32(neighbor)] = deg
+	if n.idx != nil {
+		n.idx[int32(neighbor)] = deg
+	} else if len(n.neighbors) > denseScanMax {
+		n.buildIndex()
+	}
 	n.live = append(n.live, int32(neighbor))
 }
 

@@ -157,4 +157,14 @@ func TestResetReuse(t *testing.T) {
 	if !a.Flow(3).IsZero() {
 		t.Fatal("flows after Reset")
 	}
+	// A repeat Reset over the same neighborhood zeroes in place.
+	nb, init := []int32{3, 4}, gossip.Scalar(9, 1)
+	a.Reset(2, nb, init)
+	var msg gossip.Message
+	if n := testing.AllocsPerRun(20, func() {
+		a.FillMessage(3, &msg)
+		a.Reset(2, nb, init)
+	}); n != 0 {
+		t.Fatalf("repeat Reset allocates %.0f times", n)
+	}
 }

@@ -36,8 +36,8 @@ import (
 // to the neighbor list: each flow's X vector is a view into one shared
 // backing array, so the hot local-mass computation (one pass over all
 // flows per send) streams through contiguous memory without hashing.
-// The map only translates sender ids to slice positions on the receive
-// path of high-degree nodes.
+// Nodes of degree ≤ denseScanMax find a sender by scanning the neighbor
+// list; only larger neighborhoods build an id map.
 type Node struct {
 	id        int
 	neighbors []int32
@@ -45,7 +45,7 @@ type Node struct {
 	init      gossip.Value
 	flowList  []gossip.Value // flow variable per neighbor; X views into backing
 	backing   []float64      // flat flow payloads: deg·width floats
-	idx       map[int32]int  // neighbor id → position in neighbors/flowList
+	idx       map[int32]int  // neighbor id → position; nil up to denseScanMax
 	width     int
 	scratch   gossip.Value // reused by FillMessage/EstimateInto
 }
@@ -82,7 +82,7 @@ func (n *Node) indexOf(neighbor int) int {
 // place instead of reallocating them, so restarting a trial on a reused
 // engine does not allocate.
 func (n *Node) Reset(node int, neighbors []int32, init gossip.Value) {
-	reuse := n.idx != nil && n.width == init.Width() && sameInt32s(n.neighbors, neighbors)
+	reuse := n.flowList != nil && n.width == init.Width() && sameInt32s(n.neighbors, neighbors)
 	n.id = node
 	n.neighbors = append(n.neighbors[:0], neighbors...)
 	n.live = append(n.live[:0], neighbors...)
@@ -97,9 +97,19 @@ func (n *Node) Reset(node int, neighbors []int32, init gossip.Value) {
 	deg := len(neighbors)
 	n.backing = make([]float64, deg*n.width)
 	n.flowList = make([]gossip.Value, deg)
-	n.idx = make(map[int32]int, deg)
-	for k, j := range neighbors {
+	for k := range n.flowList {
 		n.flowList[k].X = n.backing[k*n.width : (k+1)*n.width]
+	}
+	n.idx = nil
+	if deg > denseScanMax {
+		n.buildIndex()
+	}
+}
+
+// buildIndex builds the neighbor id map from the neighbor list.
+func (n *Node) buildIndex() {
+	n.idx = make(map[int32]int, len(n.neighbors))
+	for k, j := range n.neighbors {
 		n.idx[j] = k
 	}
 }
@@ -225,7 +235,11 @@ func (n *Node) OnNeighborJoin(neighbor int) {
 	for k := range n.flowList {
 		n.flowList[k].X = n.backing[k*n.width : (k+1)*n.width]
 	}
-	n.idx[int32(neighbor)] = deg
+	if n.idx != nil {
+		n.idx[int32(neighbor)] = deg
+	} else if len(n.neighbors) > denseScanMax {
+		n.buildIndex()
+	}
 	n.live = append(n.live, int32(neighbor))
 }
 

@@ -152,6 +152,16 @@ func TestResetReusesInstance(t *testing.T) {
 	if !a.Flow(4).IsZero() {
 		t.Fatal("flows must be zero after Reset")
 	}
+	// A repeat Reset over the same neighborhood zeroes in place.
+	nb, init := []int32{4, 5}, gossip.Scalar(7, 1)
+	a.Reset(3, nb, init)
+	var msg gossip.Message
+	if n := testing.AllocsPerRun(20, func() {
+		a.FillMessage(4, &msg)
+		a.Reset(3, nb, init)
+	}); n != 0 {
+		t.Fatalf("repeat Reset allocates %.0f times", n)
+	}
 }
 
 // The paper's Fig. 2 bus example: converged estimates are the average
