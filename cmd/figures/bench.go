@@ -117,25 +117,6 @@ type dmgsBatchEntry struct {
 	WallClockSpeedup   float64 `json:"wall_clock_speedup"`
 }
 
-// partitionEntry records the cut-edge quality of the two shard layouts
-// on one topology family. Both partitioners are deterministic, so these
-// numbers are exactly reproducible and the gate re-derives them; the
-// contract under test is CacheAwareCut ≤ ContiguousCut on every graph.
-// The max-cross columns report Stats.MaxCrossTraffic — the heaviest
-// single (source → destination) outbox bucket, i.e. the worst per-bucket
-// load any one parallel phase-2 delivery task inherits.
-type partitionEntry struct {
-	Topology           string `json:"topology"`
-	N                  int    `json:"n"`
-	Shards             int    `json:"shards"`
-	TotalEdges         int    `json:"total_edges"`
-	ContiguousCut      int    `json:"contiguous_cut_edges"`
-	CacheAwareCut      int    `json:"cache_aware_cut_edges"`
-	ContiguousMaxCross int    `json:"contiguous_max_cross_traffic"`
-	CacheAwareMaxCross int    `json:"cache_aware_max_cross_traffic"`
-	Strategy           string `json:"cache_aware_strategy"`
-}
-
 // phase2Entry is one row of the phase-2 delivery series: the same
 // sharded PCF round with delivery forced inline on the merging goroutine
 // (WithSerialDelivery — the pre-parallel behavior) against the default
@@ -205,11 +186,9 @@ type benchReport struct {
 
 	// KValueBatching measures reducing k values in one width-k run
 	// against k scalar runs; DmgsBatching is the end-to-end dmGS
-	// payoff; PartitionQuality is the deterministic cut-edge table of
-	// the contiguous vs cache-aware shard layouts.
-	KValueBatching   []kValueEntry    `json:"k_value_batching,omitempty"`
-	DmgsBatching     *dmgsBatchEntry  `json:"dmgs_batching,omitempty"`
-	PartitionQuality []partitionEntry `json:"partition_quality,omitempty"`
+	// payoff.
+	KValueBatching []kValueEntry   `json:"k_value_batching,omitempty"`
+	DmgsBatching   *dmgsBatchEntry `json:"dmgs_batching,omitempty"`
 
 	// Phase2Delivery compares serial (inline) against parallel
 	// per-destination phase-2 delivery on the same sharded engine,
@@ -221,18 +200,33 @@ type benchReport struct {
 	SnapshotCost *snapshotCost `json:"snapshot_cost,omitempty"`
 }
 
-// bestOf3 runs fn as a testing.Benchmark three times and keeps the
-// fastest per-op result — the standard noise-robust estimate on shared
-// machines.
+// bestOf3 runs fn as a testing.Benchmark three times. Time is the
+// fastest rep's — the standard noise-robust estimate on shared machines
+// — but allocations are the median rep's: at the tiny b.N of a slow op
+// one rep's allocs/op swings widely, and the fastest rep is often one
+// that happened not to allocate.
+// The result is the fastest rep with MemAllocs and MemBytes rescaled so
+// that AllocsPerOp and AllocedBytesPerOp return the medians.
 func bestOf3(fn func(b *testing.B)) testing.BenchmarkResult {
-	var best testing.BenchmarkResult
-	for rep := 0; rep < 3; rep++ {
-		r := testing.Benchmark(fn)
-		if rep == 0 || r.NsPerOp() < best.NsPerOp() {
-			best = r
+	var reps [3]testing.BenchmarkResult
+	var allocs, bytes [3]int64
+	best := 0
+	for i := range reps {
+		reps[i] = testing.Benchmark(fn)
+		allocs[i], bytes[i] = reps[i].AllocsPerOp(), reps[i].AllocedBytesPerOp()
+		if reps[i].NsPerOp() < reps[best].NsPerOp() {
+			best = i
 		}
 	}
-	return best
+	r := reps[best]
+	r.MemAllocs = uint64(median3(allocs) * int64(r.N))
+	r.MemBytes = uint64(median3(bytes) * int64(r.N))
+	return r
+}
+
+// median3 is the middle value of three.
+func median3(x [3]int64) int64 {
+	return max(min(x[0], x[1]), min(max(x[0], x[1]), x[2]))
 }
 
 // benchRound measures one Step+Errors round of a warmed-up engine (the
@@ -337,36 +331,6 @@ func measureDmgsBatching(seed int64) *dmgsBatchEntry {
 	}
 }
 
-// partitionQualityRows derives the deterministic cut-edge table for the
-// families where layout matters: lattices and trees, where the BFS
-// graph-growing pass beats contiguous id ranges, plus the hypercube,
-// where contiguous blocks are already subcubes and CacheAware must fall
-// back to them rather than make things worse.
-func partitionQualityRows(shards int) []partitionEntry {
-	var rows []partitionEntry
-	for _, g := range []*topology.Graph{
-		topology.Hypercube(10),
-		topology.Grid2D(256, 256),
-		topology.Torus2D(128, 128),
-		topology.BinaryTree(1<<15 - 1),
-	} {
-		contig := topology.Contiguous(g, shards)
-		ca := topology.CacheAware(g, shards)
-		rows = append(rows, partitionEntry{
-			Topology:           g.Name(),
-			N:                  g.N(),
-			Shards:             shards,
-			TotalEdges:         contig.Stats.TotalEdges,
-			ContiguousCut:      contig.Stats.CutEdges,
-			CacheAwareCut:      ca.Stats.CutEdges,
-			ContiguousMaxCross: contig.Stats.MaxCrossTraffic,
-			CacheAwareMaxCross: ca.Stats.MaxCrossTraffic,
-			Strategy:           ca.Stats.Strategy,
-		})
-	}
-	return rows
-}
-
 // writeBenchJSON measures the simulator hot path — the per-algorithm
 // series on the n=1024 hypercube, the sequential-vs-sharded n-scaling
 // series, one n=10^6 torus round, and the CSR bytes/node table — and
@@ -469,13 +433,6 @@ func writeBenchJSON(path string, seed int64, shards int) {
 	fmt.Fprintf(os.Stderr, "dmgs %s m=%d: legacy %d reductions/%d rounds/%.0f ms, batched %d/%d/%.0f ms, %.2fx\n",
 		db.Topology, db.M, db.LegacyReductions, db.LegacyTotalRounds, db.LegacyMs,
 		db.BatchedReductions, db.BatchedTotalRounds, db.BatchedMs, db.WallClockSpeedup)
-
-	// Deterministic partition-quality table.
-	rep.PartitionQuality = partitionQualityRows(shards)
-	for _, p := range rep.PartitionQuality {
-		fmt.Fprintf(os.Stderr, "partition %-18s shards=%d cut %6d (contiguous) vs %6d (%s)\n",
-			p.Topology, p.Shards, p.ContiguousCut, p.CacheAwareCut, p.Strategy)
-	}
 
 	// Million-node round: one PCF Step+Errors on the 100x100x100 torus.
 	mg := topology.Torus3D(100, 100, 100)
@@ -670,10 +627,7 @@ func phase2Families() []*topology.Graph {
 }
 
 // runBenchPhase2 measures the serial-vs-parallel phase-2 delivery series
-// and merges it into the existing bench JSON. It also regenerates the
-// deterministic partition-quality table — the max-cross-traffic columns
-// belong to the same delivery work and the gate compares those rows
-// bitwise, so the two sections are recorded together.
+// and merges it into the existing bench JSON.
 func runBenchPhase2(path string, seed int64, shards int) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -689,12 +643,6 @@ func runBenchPhase2(path string, seed int64, shards int) {
 		rep.Phase2Delivery = append(rep.Phase2Delivery, row)
 		fmt.Fprintf(os.Stderr, "phase2 %-16s n=%-8d serial %12.0f ns/op  parallel(%d) %12.0f ns/op  %.2fx\n",
 			row.Topology, row.N, row.SerialNsPerOp, shards, row.ParallelNsPerOp, row.DeliverySpeedup)
-	}
-	rep.PartitionQuality = partitionQualityRows(shards)
-	for _, p := range rep.PartitionQuality {
-		fmt.Fprintf(os.Stderr, "partition %-18s shards=%d cut %6d/%6d  max-cross %5d/%5d (%s)\n",
-			p.Topology, p.Shards, p.ContiguousCut, p.CacheAwareCut,
-			p.ContiguousMaxCross, p.CacheAwareMaxCross, p.Strategy)
 	}
 	out, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {

@@ -293,32 +293,6 @@ func runBenchGate(path string, seed int64) {
 		}
 	}
 
-	// Partition-quality gate: both layouts are deterministic, so the
-	// recorded table must reproduce exactly, and the cache-aware cut
-	// may never exceed the contiguous one.
-	if len(rep.PartitionQuality) > 0 {
-		rows := partitionQualityRows(rep.PartitionQuality[0].Shards)
-		if len(rows) != len(rep.PartitionQuality) {
-			fmt.Printf("FAIL: partition_quality has %d recorded rows, gate derives %d\n",
-				len(rep.PartitionQuality), len(rows))
-			failed = true
-		} else {
-			for i, row := range rows {
-				if row != rep.PartitionQuality[i] {
-					fmt.Printf("FAIL: partition row %s/%d drifted: recorded %+v, derived %+v\n",
-						row.Topology, row.Shards, rep.PartitionQuality[i], row)
-					failed = true
-				}
-				if row.CacheAwareCut > row.ContiguousCut {
-					fmt.Printf("FAIL: cache-aware layout cuts %d edges on %s, contiguous cuts %d\n",
-						row.CacheAwareCut, row.Topology, row.ContiguousCut)
-					failed = true
-				}
-			}
-		}
-		fmt.Printf("  partition quality: %d rows reproduced deterministically\n", len(rows))
-	}
-
 	if failed {
 		os.Exit(1)
 	}

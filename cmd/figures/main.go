@@ -41,11 +41,11 @@ func main() {
 		benchGate = flag.String("bench-gate", "", "re-measure the sharded PCF round (metrics disabled) against the recorded baseline in this JSON file and exit non-zero on a >5% ns/op or any allocs/op regression")
 		benchSnap = flag.String("bench-snapshot", "", "measure the million-node snapshot/encode cost and merge it into this JSON file, preserving the other recorded baselines")
 
-		benchPhase2 = flag.String("bench-phase2", "", "measure the serial-vs-parallel phase-2 delivery series, regenerate the partition-quality table and merge both into this JSON file")
+		benchPhase2 = flag.String("bench-phase2", "", "measure the serial-vs-parallel phase-2 delivery series and merge it into this JSON file")
 
-		benchSmoke = flag.Bool("bench-smoke", false, "fast machine-independent CI check: cross-layout bitwise identity, k-value batching speedup floor and the cache-aware partition contract")
+		benchSmoke = flag.Bool("bench-smoke", false, "fast machine-independent CI check: cross-shard-count and delivery-path bitwise identity and the k-value batching speedup floor")
 
-		phaseReport   = flag.Bool("phase-report", false, "run short timing-enabled sharded reductions and print the per-shard phase breakdown: partition-predicted vs measured delivery share, barrier waits and pool utilization")
+		phaseReport   = flag.Bool("phase-report", false, "run short timing-enabled sharded reductions and print the per-shard phase breakdown: degree-predicted vs measured delivery share, barrier waits and pool utilization")
 		checkTimeline = flag.String("check-timeline", "", "structurally validate a gossipsim -timeline JSON export (named tracks, phase slices, fault/churn instants) and exit non-zero on problems")
 
 		shards     = flag.Int("shards", 8, "shard count for the sharded-executor series of -bench-json")

@@ -1,7 +1,7 @@
 package main
 
 // Flight-recorder consumers: -phase-report cross-references the
-// partition's static traffic prediction against the phase timings the
+// shards' static traffic prediction against the phase timings the
 // flight recorder actually measured, and -check-timeline validates a
 // gossipsim -timeline export structurally (the CI smoke's half of the
 // Perfetto story — see EXPERIMENTS.md for the interactive half).
@@ -25,26 +25,24 @@ import (
 const phaseReportRounds = 200
 
 // runPhaseReport runs a timing-enabled sharded PCF reduction on two
-// layout-sensitive families and prints, per destination shard, the
-// partition's predicted share of phase-2 delivery load (the incoming
-// column of topology.Partition.TrafficMatrix, diagonal included — every
-// staged message crosses a bucket, intra-shard ones too) against the
-// share of delivery time the flight recorder measured, plus each
-// fan-out's wall clock, the caller's barrier wait (the straggler
-// signal) and pool utilization. A skew well above 1 marks a shard whose
-// delivery is more expensive than its traffic predicts — a straggler
-// the static partitioner cannot see.
+// families and prints, per destination shard, the shard's predicted
+// share of phase-2 delivery load (the summed degree of its nodes: every
+// neighbour may message each of them, and every staged message crosses a
+// bucket, intra-shard ones too) against the share of delivery time the
+// flight recorder measured, plus each fan-out's wall clock, the caller's
+// barrier wait (the straggler signal) and pool utilization. A skew well
+// above 1 marks a shard whose delivery is more expensive than its
+// traffic predicts — a straggler the static degree count cannot see.
 func runPhaseReport(emit func(*trace.Table), seed int64, shards int) {
 	for _, g := range []*topology.Graph{
-		topology.Hypercube(10),     // contiguous blocks are subcubes; CacheAware falls back
-		topology.Torus2D(128, 128), // BFS layout beats contiguous; cross-traffic matters
+		topology.Hypercube(10),     // each shard's id range is a subcube
+		topology.Torus2D(128, 128), // each shard's id range is a slab of rows
 	} {
-		pt := topology.CacheAware(g, shards)
-		p := len(pt.Shards)
-		rec := metrics.New(metrics.Config{Shards: p, Interval: 1 << 30, Timing: true})
 		n := g.N()
 		e := sim.NewScalar(g, experiments.PCF.Protos(n), experiments.UniformInputs(n, seed),
-			gossip.Average, seed, sim.WithPartition(pt))
+			gossip.Average, seed, sim.WithShards(shards))
+		p := e.Shards()
+		rec := metrics.New(metrics.Config{Shards: p, Interval: 1 << 30, Timing: true})
 		e.SetMetrics(rec)
 		for r := 0; r < phaseReportRounds; r++ {
 			e.Step()
@@ -52,14 +50,16 @@ func runPhaseReport(emit func(*trace.Table), seed int64, shards int) {
 		}
 		e.Close()
 
-		tm := pt.TrafficMatrix(g)
+		size := make([]int, p)
 		pred := make([]int, p)
 		predTotal := 0
-		for s := range tm {
-			for d, c := range tm[s] {
-				pred[d] += c
-				predTotal += c
+		for d := 0; d < p; d++ {
+			lo, hi := d*n/p, (d+1)*n/p
+			size[d] = hi - lo
+			for i := lo; i < hi; i++ {
+				pred[d] += g.Degree(i)
 			}
+			predTotal += pred[d]
 		}
 		meas := make([]uint64, p)
 		var measTotal uint64
@@ -68,8 +68,8 @@ func runPhaseReport(emit func(*trace.Table), seed int64, shards int) {
 			measTotal += meas[d]
 		}
 		t := trace.NewTable(
-			fmt.Sprintf("phase report — %s, %d shards (%s layout), %d rounds: traffic-predicted vs measured phase-2 delivery load",
-				g.Name(), p, pt.Stats.Strategy, phaseReportRounds),
+			fmt.Sprintf("phase report — %s, %d shards, %d rounds: traffic-predicted vs measured phase-2 delivery load",
+				g.Name(), p, phaseReportRounds),
 			"shard", "nodes", "in-traffic", "predicted share", "deliver ms", "measured share", "skew")
 		for d := 0; d < p; d++ {
 			predShare := float64(pred[d]) / float64(predTotal)
@@ -78,7 +78,7 @@ func runPhaseReport(emit func(*trace.Table), seed int64, shards int) {
 			if predShare > 0 {
 				skew = fmt.Sprintf("%.2f", measShare/predShare)
 			}
-			t.AddRow(d, len(pt.Shards[d]), pred[d],
+			t.AddRow(d, size[d], pred[d],
 				fmt.Sprintf("%.1f%%", 100*predShare),
 				float64(meas[d])/1e6,
 				fmt.Sprintf("%.1f%%", 100*measShare),

@@ -77,8 +77,8 @@ type Config struct {
 	// issuing m reductions instead of 2m−1. Off by default: the classic
 	// schedule is the paper's and the golden baselines'.
 	Batched bool
-	// Engine, when non-nil, appends extra engine options (sharding, a
-	// cache-aware partition, …) to every reduction engine.
+	// Engine, when non-nil, appends extra engine options (sharding,
+	// serial delivery, …) to every reduction engine.
 	Engine []sim.EngineOption
 	// Interceptor, when non-nil, returns a fresh fault injector for
 	// each reduction engine (message loss, bit flips, …).

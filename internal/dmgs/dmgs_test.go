@@ -318,8 +318,8 @@ func TestBatchedUnderMessageLoss(t *testing.T) {
 	}
 }
 
-// A multi-shard cache-aware engine under the batched schedule is
-// byte-identical to the single-shard reference — the executor
+// A 3-shard engine (16 nodes, so the shards differ in size) under the
+// batched schedule is byte-identical to the single-shard reference — the executor
 // determinism contract carries through the dmGS caller, options and
 // all. (The reference is WithShards(1), not the legacy unsharded
 // executor, whose global-RNG schedule is intentionally different.)
@@ -335,7 +335,7 @@ func TestBatchedShardedDeterminism(t *testing.T) {
 	}
 	shard := pcfConfig(g)
 	shard.Batched = true
-	shard.Engine = []sim.EngineOption{sim.WithPartition(topology.CacheAware(g, 3))}
+	shard.Engine = []sim.EngineOption{sim.WithShards(3)}
 	b, err := Factorize(v, shard)
 	if err != nil {
 		t.Fatal(err)

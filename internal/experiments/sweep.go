@@ -69,13 +69,6 @@ type SweepConfig struct {
 	// counts but distinct from the default sequential model — so golden
 	// files recorded with Shards=0 stay valid only at Shards=0.
 	Shards int
-	// CacheAware, with Shards > 0, lays every trial's shards out with
-	// the cache-aware partitioner (topology.CacheAware) instead of
-	// contiguous id blocks. The executor's schedule is layout-invariant,
-	// so results are byte-identical either way — only memory locality
-	// and cross-shard traffic change (enforced by
-	// TestSweepShardLayoutInvariance).
-	CacheAware bool
 	// Metrics attaches one fresh metrics.Recorder per trial and stores
 	// its sample history and event trace in the trial result. Metrics
 	// never perturb the schedule: a sweep with Metrics on produces
@@ -316,11 +309,7 @@ func Sweep(cfg SweepConfig) (SweepResult, error) {
 					tp := cfg.Topologies[jb.ti]
 					var opts []sim.EngineOption
 					if cfg.Shards > 0 {
-						if cfg.CacheAware {
-							opts = append(opts, sim.WithPartition(topology.CacheAware(tp.Graph, cfg.Shards)))
-						} else {
-							opts = append(opts, sim.WithShards(cfg.Shards))
-						}
+						opts = append(opts, sim.WithShards(cfg.Shards))
 					}
 					e = sim0(tp.Graph, cfg.Algorithms[jb.ai].Protos(tp.Graph.N()), inputs[jb.ti], seed, opts...)
 					engines[cell] = e

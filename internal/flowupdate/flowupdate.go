@@ -25,6 +25,8 @@
 package flowupdate
 
 import (
+	"fmt"
+
 	"pcfreduce/internal/gossip"
 )
 
@@ -319,6 +321,11 @@ func sameInt32s(a, b []int32) bool {
 }
 
 // SetInput implements gossip.Protocol: live-monitoring input change.
+// The width of a running reduction is fixed: SetInput panics if v's
+// width differs from the node's.
 func (n *Node) SetInput(v gossip.Value) {
+	if v.Width() != n.width {
+		panic(fmt.Sprintf("flowupdate: SetInput with width %d on a node of width %d", v.Width(), n.width))
+	}
 	n.init.Set(v)
 }

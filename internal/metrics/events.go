@@ -251,13 +251,11 @@ func (r *Recorder) RecordEvent(ev Event) {
 // Ordering contract: within one round, the sharded executor flushes
 // staged events sorted by ascending *emitting node id* (Event.A),
 // regardless of how many workers ran the phases or which shard staged
-// which event. On a contiguous partition layout, ascending node id
-// coincides with concatenating the per-shard buffers in ascending
-// shard order; on a non-contiguous (cache-aware) layout the flush
-// k-way-merges the buffers by node id, so shard buffers interleave but
-// the node-id order — and therefore the ring contents — stay
-// byte-identical across layouts and worker counts (pinned by
-// TestShardEventFlushOrder in internal/sim). Across rounds, batches
+// which event. The shards are contiguous id ranges, so ascending node
+// id coincides with concatenating the per-shard buffers in ascending
+// shard order, and the ring contents stay byte-identical across shard
+// and worker counts (pinned by TestShardEventFlushOrder in
+// internal/sim). Across rounds, batches
 // append in round order because the flush runs in the serial section
 // of the round barrier.
 func (r *Recorder) RecordEvents(evs []Event) {

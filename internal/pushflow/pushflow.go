@@ -27,6 +27,8 @@
 package pushflow
 
 import (
+	"fmt"
+
 	"pcfreduce/internal/gossip"
 )
 
@@ -284,6 +286,11 @@ func sameInt32s(a, b []int32) bool {
 // SetInput implements gossip.Protocol: live-monitoring input change.
 // Flows are untouched; the local estimate shifts by the input delta and
 // the network re-averages it.
+// The width of a running reduction is fixed: SetInput panics if v's
+// width differs from the node's.
 func (n *Node) SetInput(v gossip.Value) {
+	if v.Width() != n.width {
+		panic(fmt.Sprintf("pushflow: SetInput with width %d on a node of width %d", v.Width(), n.width))
+	}
 	n.init.Set(v)
 }

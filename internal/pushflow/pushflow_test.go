@@ -2,6 +2,7 @@ package pushflow
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"pcfreduce/internal/gossip"
@@ -275,4 +276,27 @@ func someInputs(n int) []float64 {
 		out[i] = float64(i%11) + 0.125
 	}
 	return out
+}
+
+// SetInput rejects a width change at the call, and the rejected call
+// leaves the estimate as it was.
+func TestSetInputWidthPanics(t *testing.T) {
+	a := New()
+	a.Reset(0, []int32{1}, gossip.Scalar(8, 1))
+	a.SetInput(gossip.Scalar(5, 1))
+	if got := a.EstimateInto(nil)[0]; got != 5 {
+		t.Fatalf("estimate after SetInput %g, want 5", got)
+	}
+	func() {
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.HasPrefix(msg, "pushflow: SetInput with width 2 on a node of width 1") {
+				t.Errorf("SetInput width change: panic %q", msg)
+			}
+		}()
+		a.SetInput(gossip.Vector([]float64{1, 2}, 1))
+	}()
+	if got := a.EstimateInto(nil); len(got) != 1 || got[0] != 5 {
+		t.Fatalf("rejected SetInput changed the estimate to %v", got)
+	}
 }

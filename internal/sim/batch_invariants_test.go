@@ -108,8 +108,7 @@ func TestBatchedAntiSymmetry(t *testing.T) {
 // TestBatchedComponentEqualsScalar: after any fixed number of rounds,
 // component c of a width-k run is bitwise identical to a scalar run
 // over component c with the same seed — on the legacy executor and on
-// the sharded one (where the differential additionally covers the
-// cache-aware layout's cursor merge under multi-component values).
+// the sharded one, split into 3 shards of unequal size (31 nodes).
 func TestBatchedComponentEqualsScalar(t *testing.T) {
 	g := topology.BinaryTree(31)
 	n := g.N()
@@ -119,7 +118,7 @@ func TestBatchedComponentEqualsScalar(t *testing.T) {
 		opts []sim.EngineOption
 	}{
 		{"legacy", nil},
-		{"sharded", []sim.EngineOption{sim.WithPartition(topology.CacheAware(g, 3))}},
+		{"sharded", []sim.EngineOption{sim.WithShards(3)}},
 	}
 	for _, tc := range allProtocols {
 		for _, layout := range layouts {

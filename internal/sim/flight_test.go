@@ -28,10 +28,9 @@ func staged(k metrics.EventKind) bool {
 // TestShardEventFlushOrder pins the ordering contract documented on
 // metrics.Recorder.RecordEvents: within one round, phase-1-staged
 // events reach the ring sorted by ascending emitting-node id, for
-// every layout — including the cache-aware BFS partition, where shard
-// buffers hold non-contiguous id ranges and the flush must k-way-merge
-// them. The recorded stream must therefore be identical across the
-// sequential reference, the contiguous layout and the BFS layout.
+// every shard count — including 5, which splits the 63 nodes unevenly.
+// The recorded stream must therefore be identical across the
+// sequential reference and the 4- and 5-shard runs.
 //
 // Two silent node crashes at the same round make several spread-out
 // neighbors evict their dead link in the same detector scan, so the
@@ -60,18 +59,15 @@ func TestShardEventFlushOrder(t *testing.T) {
 		return rec.Events()
 	}
 
-	pt := topology.CacheAware(g, 4)
-	if pt.Stats.Strategy != "bfs" {
-		t.Fatal("expected a genuinely non-contiguous layout on the tree")
-	}
 	want := do(sim.WithShards(1))
 
 	// The scenario must be non-vacuous: staged events exist, and under
-	// the BFS layout they originate from more than one shard, so the
-	// flush genuinely interleaves buffers.
+	// 5 shards they originate from more than one shard, so the flush
+	// genuinely concatenates several buffers.
+	const p = 5
 	shardOf := make([]int, n)
-	for s, nodes := range pt.Shards {
-		for _, i := range nodes {
+	for s := 0; s < p; s++ {
+		for i := s * n / p; i < (s+1)*n/p; i++ {
 			shardOf[i] = s
 		}
 	}
@@ -87,7 +83,7 @@ func TestShardEventFlushOrder(t *testing.T) {
 		t.Fatalf("only %d evictions — fault plan too inert to test flush order", evictions)
 	}
 	if len(originShards) < 2 {
-		t.Fatalf("all evictions from one BFS shard (%v) — ordering check vacuous", originShards)
+		t.Fatalf("all evictions from one shard (%v) — ordering check vacuous", originShards)
 	}
 
 	// Staged events must ascend by emitting node within each round.
@@ -113,8 +109,8 @@ func TestShardEventFlushOrder(t *testing.T) {
 		label string
 		opt   sim.EngineOption
 	}{
-		{"contiguous/P=4", sim.WithShards(4)},
-		{"bfs/P=4", sim.WithPartition(pt)},
+		{"P=4", sim.WithShards(4)},
+		{"P=5", sim.WithShards(p)},
 	} {
 		got := do(v.opt)
 		checkOrder(v.label, got)
@@ -132,8 +128,8 @@ func TestShardEventFlushOrder(t *testing.T) {
 // TestTimingTransparent is the engine half of the zero-overhead
 // contract: switching the flight recorder on (timing histograms AND a
 // span timeline) must not perturb one bit of protocol state, nor the
-// recorded samples and events — under faults, a detector, and both
-// partition layouts. The timing run must actually record: phase stats
+// recorded samples and events — under faults, a detector, and shard
+// counts that split the nodes evenly or not. The timing run must actually record: phase stats
 // and timeline spans must be non-empty, or the differential is vacuous.
 func TestTimingTransparent(t *testing.T) {
 	withParallelWorkers(t, 4)
@@ -182,7 +178,7 @@ func TestTimingTransparent(t *testing.T) {
 	}{
 		{"sequential/P=1", []sim.EngineOption{sim.WithShards(1)}},
 		{"contiguous/P=4", []sim.EngineOption{sim.WithShards(4)}},
-		{"bfs/P=4", []sim.EngineOption{sim.WithPartition(topology.CacheAware(g, 4))}},
+		{"uneven/P=5", []sim.EngineOption{sim.WithShards(5)}},
 	} {
 		t.Run(v.label, func(t *testing.T) {
 			off := do(false, v.opts...)

@@ -4,9 +4,8 @@ package sim_test
 // per-node errors from the phase-1 activation (Engine.stepErrors)
 // instead of a separate Errors scan. After every round those errors
 // must equal the scan's bit for bit, and a whole Run must match a
-// reference loop of Step + Errors — for every shard count, a
-// non-contiguous partition, and every state change the fused path has
-// to see through: hung, crashed and silently crashed nodes, detector
+// reference loop of Step + Errors — for every shard count, even or
+// uneven, and every state change the fused path has to see through: hung, crashed and silently crashed nodes, detector
 // evictions, interceptor rounds and open-world joins and leaves.
 
 import (
@@ -78,16 +77,13 @@ func fusedCases() []fusedCase {
 	}
 }
 
-// fusedLayouts is the executor grid: contiguous shards 1, 2 and 8, and
-// a cache-aware partition, whose shards are not contiguous id ranges.
-func fusedLayouts(t *testing.T, g *topology.Graph) []struct {
+// fusedLayouts is the executor grid: shard counts 1, 2 and 8, which
+// split fusedGraph's 64 nodes evenly, and 3 and 7, which do not. The
+// join-leave case's joins then grow the last shard.
+func fusedLayouts() []struct {
 	label string
 	opt   sim.EngineOption
 } {
-	pt := topology.CacheAware(g, 3)
-	if pt.Stats.Strategy == "contiguous" {
-		t.Fatal("cache-aware partition fell back to contiguous; the grid needs a non-contiguous layout")
-	}
 	return []struct {
 		label string
 		opt   sim.EngineOption
@@ -95,12 +91,12 @@ func fusedLayouts(t *testing.T, g *topology.Graph) []struct {
 		{"P=1", sim.WithShards(1)},
 		{"P=2", sim.WithShards(2)},
 		{"P=8", sim.WithShards(8)},
-		{"cache-aware/P=3", sim.WithPartition(pt)},
+		{"P=3", sim.WithShards(3)},
+		{"P=7", sim.WithShards(7)},
 	}
 }
 
-// fusedGraph is a heap-ordered binary tree: the family where the
-// cache-aware layout diverges from the contiguous one.
+// fusedGraph is a heap-ordered binary tree of 64 nodes.
 func fusedGraph() *topology.Graph { return topology.BinaryTree(64) }
 
 func buildFused(tc fusedCase, g *topology.Graph, layout sim.EngineOption) *sim.Engine {
@@ -125,7 +121,7 @@ func TestShardFusedErrorsMatchScan(t *testing.T) {
 	withParallelWorkers(t, 4)
 	g := fusedGraph()
 	for _, tc := range fusedCases() {
-		for _, l := range fusedLayouts(t, g) {
+		for _, l := range fusedLayouts() {
 			t.Run(tc.name+"/"+l.label, func(t *testing.T) {
 				e := buildFused(tc, g, l.opt)
 				defer e.Close()
@@ -175,7 +171,7 @@ func TestShardFusedRunMatchesReference(t *testing.T) {
 	withParallelWorkers(t, 4)
 	g := fusedGraph()
 	for _, tc := range fusedCases() {
-		for _, l := range fusedLayouts(t, g) {
+		for _, l := range fusedLayouts() {
 			t.Run(tc.name+"/"+l.label, func(t *testing.T) {
 				cfg := sim.RunConfig{MaxRounds: 4 * fusedRounds, Eps: tc.eps, Record: true, OnRound: tc.onRound}
 				run := buildFused(tc, g, l.opt)

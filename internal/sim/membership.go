@@ -10,16 +10,15 @@ package sim
 //
 // Determinism: membership operations fire between rounds (fault.Plan
 // applies them in the serial OnRound phase), joined nodes are appended
-// to the LAST shard so every shard list stays ascending (a join's id is
-// always the current maximum, and under the default layout the
-// concatenation stays contiguous), the
+// to the LAST shard so the shards stay contiguous ascending id ranges (a
+// join's id is always the current maximum), the
 // joined node's RNG stream is derived from (seed, id) exactly like
 // every construction-time stream, and per-link loss draws come from
 // per-DIRECTED-link splitmix64 streams seeded from (seed, from, to)
 // alone — each link's drop sequence depends only on its own traffic, so
 // the parallel delivery phase can draw from P concurrent destination
-// tasks — and a churned run remains byte-identical across shard counts,
-// layouts and delivery paths, while a loss-free run consumes no stream
+// tasks — and a churned run remains byte-identical across shard counts
+// and delivery paths, while a loss-free run consumes no stream
 // at all (byte-identical to an engine built before this layer existed).
 //
 // Mass accounting: a joining node enters with its own initial value and
@@ -136,12 +135,11 @@ func (e *Engine) JoinNode(id int, value float64, peers []int) {
 		}
 		e.lastSent = append(e.lastSent, make([]int, id+1))
 	}
-	// Appending to the last shard keeps its id list ascending (a join's id
-	// is always the current maximum), and the id-derived stream makes the
-	// node's schedule P-independent.
+	// The node joins the last shard, whose range runs to the node count (a
+	// join's id is always the current maximum), and the id-derived stream
+	// makes the node's schedule P-independent.
 	e.shard.nodeRNG = append(e.shard.nodeRNG, mix64(uint64(e.seed)^(uint64(id)+1)*0x632BE59BD9B4E019))
 	e.shard.shardOf = append(e.shard.shardOf, int32(e.shards-1))
-	e.shard.nodes[e.shards-1] = append(e.shard.nodes[e.shards-1], int32(id))
 	for _, j := range peers {
 		e.protos[j].OnNeighborJoin(id)
 		e.layoutAppend(j, id)
@@ -273,7 +271,7 @@ func (e *Engine) RewireEdge(a, b, c int) {
 // any other link's messages are routed. That order-independence across
 // links is what lets the parallel delivery phase draw loss from P
 // concurrent destination tasks and still produce byte-identical runs
-// for every shard count and layout. p = 0 removes the rate (the
+// for every shard count. p = 0 removes the rate (the
 // streams keep their position, so re-enabling loss later continues the
 // same sequence deterministically). This is the per-link replacement
 // for the single global fault.Loss interceptor.
@@ -324,8 +322,8 @@ func (e *Engine) lossDrop(from, to int) bool {
 }
 
 // ensureLossStream creates the directed stream from → to if absent,
-// seeded from (lossBase, from, to) alone — never from shard layout or
-// call order, so the stream contents are layout-independent.
+// seeded from (lossBase, from, to) alone — never from the shard count or
+// call order, so the stream contents are P-independent.
 func (e *Engine) ensureLossStream(from, to int) {
 	k := [2]int{from, to}
 	if _, ok := e.lossStreams[k]; ok {
@@ -509,7 +507,6 @@ func (e *Engine) dropMembership() {
 		}
 		e.shard.nodeRNG = e.shard.nodeRNG[:n]
 		e.shard.shardOf = e.shard.shardOf[:n]
-		e.shard.nodes[e.shards-1] = e.shard.nodes[e.shards-1][:e.shard.baseLast]
 	}
 	e.overlay = nil
 	e.lossRates = nil

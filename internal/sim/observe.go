@@ -22,7 +22,7 @@ import (
 // their destination shard's; trace events emitted during the parallel
 // activation phase are staged per shard and flushed at the round
 // barrier in ascending emitting-node order (flushShardEvents), keeping
-// the recorded stream byte-identical for every shard count and layout.
+// the recorded stream byte-identical for every shard count.
 // Reset clears the attachment — recorders are per-trial state, exactly
 // like interceptors.
 func (e *Engine) SetMetrics(rec *metrics.Recorder) {

@@ -2,15 +2,14 @@ package sim_test
 
 // Cross-path differential suite for the parallel executor: every
 // combination of worker parallelism (GOMAXPROCS raised so the pool
-// actually fans out, exercised under -race), shard count ∈ {1,2,3,8}
-// and partitioner ∈ {contiguous, cache-aware} must produce
-// byte-identical state to the sequential WithShards(1) reference, under
-// a fault-free run, a silent-crash + transient-outage plan observed
-// only through the failure detector, and an open-world churn plan with
-// per-link loss. The topology is a heap-ordered binary tree — the
-// family where the cache-aware BFS layout actually diverges from the
-// contiguous one (on hypercubes it falls back) — plus a hypercube for
-// the fallback path.
+// actually fans out, exercised under -race) and shard count ∈
+// {1,2,3,5,6,8} must produce byte-identical state to the sequential
+// WithShards(1) reference, under a fault-free run, a silent-crash +
+// transient-outage plan observed only through the failure detector, and
+// an open-world churn plan with per-link loss, whose joins grow the
+// last shard. On every graph here (63, 32 and 31 nodes) at least three
+// of those counts leave the shards unequal in size, so shard boundaries
+// fall at uneven ids and the last shard is the largest.
 
 import (
 	"fmt"
@@ -35,10 +34,10 @@ func withParallelWorkers(t *testing.T, procs int) {
 	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
 }
 
-// layoutVariants enumerates the executor configurations under test for
-// a graph: every shard count with the contiguous layout and with the
-// cache-aware partition.
-func layoutVariants(g *topology.Graph) []struct {
+// layoutVariants enumerates the executor configurations under test:
+// the shardCounts domain plus 5 and 6, which split none of this file's
+// graphs evenly.
+func layoutVariants() []struct {
 	label string
 	opt   sim.EngineOption
 } {
@@ -46,22 +45,17 @@ func layoutVariants(g *topology.Graph) []struct {
 		label string
 		opt   sim.EngineOption
 	}
-	for _, p := range shardCounts {
+	for _, p := range append([]int{5, 6}, shardCounts...) {
 		out = append(out, struct {
 			label string
 			opt   sim.EngineOption
-		}{fmt.Sprintf("contiguous/P=%d", p), sim.WithShards(p)})
-		pt := topology.CacheAware(g, p)
-		out = append(out, struct {
-			label string
-			opt   sim.EngineOption
-		}{fmt.Sprintf("%s/P=%d", pt.Stats.Strategy, p), sim.WithPartition(pt)})
+		}{fmt.Sprintf("P=%d", p), sim.WithShards(p)})
 	}
 	return out
 }
 
 // TestPartitionDeterminismPlain: fault-free differential over both
-// topologies, all four protocols, all layouts.
+// topologies, all four protocols, all shard counts.
 func TestPartitionDeterminismPlain(t *testing.T) {
 	withParallelWorkers(t, 4)
 	for _, g := range []*topology.Graph{topology.BinaryTree(63), topology.Hypercube(5)} {
@@ -74,7 +68,7 @@ func TestPartitionDeterminismPlain(t *testing.T) {
 				}
 				ref := sim.NewScalar(g, fuzzProtos(n, tc.mk), inputs, gossip.Average, 7, sim.WithShards(1))
 				want := fingerprintEngine(ref, 200, nil)
-				for _, v := range layoutVariants(g) {
+				for _, v := range layoutVariants() {
 					eng := sim.NewScalar(g, fuzzProtos(n, tc.mk), inputs, gossip.Average, 7, v.opt)
 					got := fingerprintEngine(eng, 200, nil)
 					sameFingerprint(t, v.label+" vs sequential", want, got)
@@ -86,8 +80,7 @@ func TestPartitionDeterminismPlain(t *testing.T) {
 }
 
 // TestPartitionDeterminismFaults: silent crash + transient outage,
-// detector-observed, across all layouts on the tree topology (where the
-// cache-aware layout is genuinely non-contiguous).
+// detector-observed, across all shard counts on the tree topology.
 func TestPartitionDeterminismFaults(t *testing.T) {
 	withParallelWorkers(t, 4)
 	g := topology.BinaryTree(63)
@@ -112,14 +105,14 @@ func TestPartitionDeterminismFaults(t *testing.T) {
 	if want.stats.Suspicions == 0 {
 		t.Fatal("reference run registered no suspicions — fault plan inert")
 	}
-	for _, v := range layoutVariants(g) {
+	for _, v := range layoutVariants() {
 		sameFingerprint(t, v.label+" vs sequential", want, build(v.opt))
 	}
 }
 
 // TestPartitionDeterminismChurn: the open-world plan (joins, leaves,
-// rewires, per-link loss) across all layouts — joins append to the last
-// shard regardless of the layout, so churned runs stay byte-identical.
+// rewires, per-link loss) across all shard counts — joins append to the
+// last shard, so churned runs stay byte-identical.
 func TestPartitionDeterminismChurn(t *testing.T) {
 	withParallelWorkers(t, 4)
 	g := topology.BinaryTree(31)
@@ -135,7 +128,7 @@ func TestPartitionDeterminismChurn(t *testing.T) {
 				return e
 			}
 			want := churnFingerprintOf(build(sim.WithShards(1)))
-			for _, v := range layoutVariants(g) {
+			for _, v := range layoutVariants() {
 				e := build(v.opt)
 				sameChurnFingerprint(t, v.label+" vs sequential", want, churnFingerprintOf(e))
 				e.Close()
@@ -144,10 +137,22 @@ func TestPartitionDeterminismChurn(t *testing.T) {
 	}
 }
 
-// TestPartitionSnapshotRoundTrip proves snapshots are layout-agnostic:
-// a snapshot taken mid-run on a cache-aware engine restores into a
-// contiguous engine (different shard count, too) and continues
-// byte-identically to the uninterrupted cache-aware run.
+// stepWithJoin steps e for rounds rounds, admitting node 63 of a
+// 63-node tree at round 40: the join grows the last shard mid-run.
+func stepWithJoin(e *sim.Engine, rounds int) {
+	for r := 0; r < rounds; r++ {
+		if e.Round() == 40 {
+			e.JoinNode(63, 9.5, []int{5, 62})
+		}
+		e.Step()
+	}
+}
+
+// TestPartitionSnapshotRoundTrip proves snapshots record no shard
+// count: a snapshot taken mid-run on an 8-shard engine (63 nodes plus a
+// joined one, so uneven shards and a grown last shard) restores into a
+// 3-shard engine and continues byte-identically to the uninterrupted
+// 8-shard run.
 func TestPartitionSnapshotRoundTrip(t *testing.T) {
 	withParallelWorkers(t, 4)
 	g := topology.BinaryTree(63)
@@ -157,37 +162,35 @@ func TestPartitionSnapshotRoundTrip(t *testing.T) {
 		inputs[i] = float64(7*i%17) + 0.125
 	}
 	mk := allProtocols[0].mk
-	pt := topology.CacheAware(g, 8)
-	if pt.Stats.Strategy != "bfs" {
-		t.Fatal("expected a genuinely non-contiguous layout on the tree")
-	}
 
-	full := sim.NewScalar(g, fuzzProtos(n, mk), inputs, gossip.Average, 23, sim.WithPartition(pt))
-	half := sim.NewScalar(g, fuzzProtos(n, mk), inputs, gossip.Average, 23, sim.WithPartition(pt))
-	for r := 0; r < 100; r++ {
-		full.Step()
-		half.Step()
-	}
+	full := sim.NewScalar(g, fuzzProtos(n, mk), inputs, gossip.Average, 23, sim.WithShards(8), sim.WithJoinFactory(mk))
+	half := sim.NewScalar(g, fuzzProtos(n, mk), inputs, gossip.Average, 23, sim.WithShards(8), sim.WithJoinFactory(mk))
+	stepWithJoin(full, 100)
+	stepWithJoin(half, 100)
 	snap, err := half.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for r := 0; r < 100; r++ {
-		full.Step()
-	}
-	want := fingerprintEngine(full, 0, nil)
+	stepWithJoin(full, 100)
+	want := churnFingerprintOf(full)
 
-	restored := sim.NewScalar(g, fuzzProtos(n, mk), inputs, gossip.Average, 99, sim.WithShards(3))
+	restored := sim.NewScalar(g, fuzzProtos(n, mk), inputs, gossip.Average, 99, sim.WithShards(3), sim.WithJoinFactory(mk))
 	if err := restored.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
-	got := fingerprintEngine(restored, 100, nil)
-	sameFingerprint(t, "restore into contiguous P=3 from bfs P=8", want, got)
+	if restored.N() != n+1 {
+		t.Fatalf("restored engine has %d nodes, want %d with the joined one", restored.N(), n+1)
+	}
+	stepWithJoin(restored, 100)
+	if restored.Round() != full.Round() {
+		t.Fatalf("restored run ends at round %d, uninterrupted at %d", restored.Round(), full.Round())
+	}
+	sameChurnFingerprint(t, "restore into P=3 from P=8", want, churnFingerprintOf(restored))
 }
 
 // lossyTreeLinks installs per-link loss on a band of parent→child edges
-// of a heap-ordered binary tree. The band spans shard boundaries under
-// every layout in the grid, so dropped messages exercise each delivery
+// of a heap-ordered binary tree. The band spans shard boundaries at every
+// shard count from 5 up, so dropped messages exercise each delivery
 // task's own recycling path, and the per-directed-link loss streams are
 // drawn from more than one task.
 func lossyTreeLinks(e *sim.Engine) {
@@ -199,7 +202,7 @@ func lossyTreeLinks(e *sim.Engine) {
 
 // TestDeliveryPathFaultsAndLoss: serial (WithSerialDelivery) and
 // parallel phase-2 delivery must be byte-identical to the sequential
-// reference for every layout in the grid, with a fault plan observed
+// reference for every shard count in the grid, with a fault plan observed
 // through the detector AND per-link loss active — the configuration
 // where the per-destination tasks draw from loss streams and fold
 // keepalives concurrently.
@@ -228,7 +231,7 @@ func TestDeliveryPathFaultsAndLoss(t *testing.T) {
 	if want.stats.Suspicions == 0 {
 		t.Fatal("reference run registered no suspicions — fault plan inert")
 	}
-	for _, v := range layoutVariants(g) {
+	for _, v := range layoutVariants() {
 		sameFingerprint(t, v.label+"/parallel vs sequential", want, build(v.opt))
 		sameFingerprint(t, v.label+"/serial vs sequential", want,
 			build(v.opt, sim.WithSerialDelivery()))
@@ -254,7 +257,7 @@ func TestDeliveryPathBatched(t *testing.T) {
 				return fingerprintEngine(eng, 150, nil)
 			}
 			want := build(sim.WithShards(1))
-			for _, v := range layoutVariants(g) {
+			for _, v := range layoutVariants() {
 				sameFingerprint(t, v.label+"/parallel vs sequential", want, build(v.opt))
 				sameFingerprint(t, v.label+"/serial vs sequential", want,
 					build(v.opt, sim.WithSerialDelivery()))
@@ -264,8 +267,8 @@ func TestDeliveryPathBatched(t *testing.T) {
 }
 
 // TestDeliveryPathChurn: open-world churn (joins, leaves, rewires,
-// per-link loss on a changing overlay) across the layout grid, each
-// layout run with both delivery paths — teardown resyncs and roster
+// per-link loss on a changing overlay) across the shard-count grid, each
+// count run with both delivery paths — teardown resyncs and roster
 // changes land between rounds, so the per-destination tasks must see
 // exactly the membership the serial merge saw.
 func TestDeliveryPathChurn(t *testing.T) {
@@ -284,7 +287,7 @@ func TestDeliveryPathChurn(t *testing.T) {
 		return e
 	}
 	want := churnFingerprintOf(build(sim.WithShards(1)))
-	for _, v := range layoutVariants(g) {
+	for _, v := range layoutVariants() {
 		e := build(v.opt)
 		sameChurnFingerprint(t, v.label+"/parallel vs sequential", want, churnFingerprintOf(e))
 		e.Close()
@@ -295,13 +298,13 @@ func TestDeliveryPathChurn(t *testing.T) {
 }
 
 // TestDeliverySnapshotRoundTrip crosses the second barrier with a
-// snapshot: a run with per-link loss active is snapshotted mid-run on a
-// cache-aware engine using parallel delivery, restored into a
-// contiguous engine forced onto the serial delivery path (different
-// shard count, different seed at construction), and must continue
-// byte-identically to the uninterrupted run — the directed loss-stream
-// table in the snapshot is what makes the reordered draws land
-// identically on both sides.
+// snapshot: a run with per-link loss active and a joined node is
+// snapshotted mid-run on an 8-shard engine using parallel delivery,
+// restored into a 3-shard engine forced onto the serial delivery path
+// (different seed at construction), and must continue byte-identically
+// to the uninterrupted run — the directed loss-stream table in the
+// snapshot is what makes the reordered draws land identically on both
+// sides.
 func TestDeliverySnapshotRoundTrip(t *testing.T) {
 	withParallelWorkers(t, 4)
 	g := topology.BinaryTree(63)
@@ -311,38 +314,33 @@ func TestDeliverySnapshotRoundTrip(t *testing.T) {
 		inputs[i] = float64(7*i%19) + 0.375
 	}
 	mk := allProtocols[0].mk
-	pt := topology.CacheAware(g, 8)
-	if pt.Stats.Strategy != "bfs" {
-		t.Fatal("expected a genuinely non-contiguous layout on the tree")
-	}
 
-	full := sim.NewScalar(g, fuzzProtos(n, mk), inputs, gossip.Average, 29, sim.WithPartition(pt))
-	half := sim.NewScalar(g, fuzzProtos(n, mk), inputs, gossip.Average, 29, sim.WithPartition(pt))
+	full := sim.NewScalar(g, fuzzProtos(n, mk), inputs, gossip.Average, 29, sim.WithShards(8), sim.WithJoinFactory(mk))
+	half := sim.NewScalar(g, fuzzProtos(n, mk), inputs, gossip.Average, 29, sim.WithShards(8), sim.WithJoinFactory(mk))
 	defer full.Close()
 	defer half.Close()
 	lossyTreeLinks(full)
 	lossyTreeLinks(half)
-	for r := 0; r < 60; r++ {
-		full.Step()
-		half.Step()
-	}
+	stepWithJoin(full, 60)
+	stepWithJoin(half, 60)
 	snap, err := half.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for r := 0; r < 60; r++ {
-		full.Step()
-	}
-	want := fingerprintEngine(full, 0, nil)
+	stepWithJoin(full, 60)
+	want := churnFingerprintOf(full)
 
 	restored := sim.NewScalar(g, fuzzProtos(n, mk), inputs, gossip.Average, 99,
-		sim.WithShards(3), sim.WithSerialDelivery())
+		sim.WithShards(3), sim.WithSerialDelivery(), sim.WithJoinFactory(mk))
 	defer restored.Close()
 	if err := restored.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
-	got := fingerprintEngine(restored, 60, nil)
-	sameFingerprint(t, "restore into serial-delivery contiguous P=3 from parallel bfs P=8", want, got)
+	stepWithJoin(restored, 60)
+	if restored.Round() != full.Round() {
+		t.Fatalf("restored run ends at round %d, uninterrupted at %d", restored.Round(), full.Round())
+	}
+	sameChurnFingerprint(t, "restore into serial-delivery P=3 from parallel P=8", want, churnFingerprintOf(restored))
 }
 
 // TestEngineCloseAndReuse: Close is idempotent and a closed engine

@@ -19,9 +19,9 @@ package sim
 //     Shards() reports 0 for it, and it cannot be snapshotted: the
 //     math/rand state is not serializable.
 //
-//   - The phase-split schedule (WithShards(P), WithPartition) runs P
-//     node shards in parallel and produces byte-identical results for
-//     every shard count (including P=1) and every shard layout.
+//   - The phase-split schedule (WithShards(P)) runs P node shards, each
+//     a contiguous id range, in parallel and produces byte-identical
+//     results for every shard count (including P=1).
 //
 // The phase-split round has two phases:
 //
@@ -39,18 +39,17 @@ package sim
 //	into the per-(source shard → destination shard) outbox bucket
 //	bucket[s][d]; phase 2 dispatches one delivery task per DESTINATION
 //	shard onto the same worker pool (a second WaitGroup barrier per
-//	round). Task d walks its P source buckets in ascending global
-//	source id order — trivially on contiguous layouts, via a k-way
-//	head merge on arbitrary partitions — and routes each message into
-//	its destination inbox, to be processed next round.
+//	round). Task d walks its P source buckets in shard order — which,
+//	the shards being ascending id ranges, is ascending global source id
+//	order — and routes each message into its destination inbox, to be
+//	processed next round.
 //
-// Why this is invariant under both P and the shard layout: during phase
-// 1 a node reads and writes only its own state (protocol, detector, RNG
-// stream, frozen inbox), so the activation interleaving across shards is
-// unobservable; and during phase 2 a delivery task touches only state
-// owned by its destination shard — the inboxes of its own nodes, its own
-// free list and counter bank, and the loss streams of directed links
-// INTO its shard — so tasks are pairwise disjoint and running them in
+// Why this is invariant under P: during phase 1 a node reads and writes
+// only its own state (protocol, detector, RNG stream, frozen inbox), so
+// the activation interleaving across shards is unobservable; and during
+// phase 2 a delivery task touches only state owned by its destination
+// shard — the inboxes of its own nodes, its own free list and counter
+// bank, and the loss streams of directed links INTO its shard — so tasks are pairwise disjoint and running them in
 // any order (or inline, in sequence: WithSerialDelivery) produces the
 // same bytes. The only cross-task question is per-inbox message order,
 // and that is fixed by construction: a node sends at most one message
@@ -62,12 +61,12 @@ package sim
 // draws come from per-directed-link splitmix64 streams (membership.go),
 // so reordering draws across links cannot change any link's own
 // sequence. The per-node RNG streams are derived from (seed, node id)
-// alone, so the communication schedule itself is layout-independent.
+// alone, so the communication schedule itself is P-independent.
 //
 // Stateful interceptors (fault.Loss, fault.BitFlip advance private RNGs
 // per Intercept call) require one global total order, so phase-split
 // rounds with an interceptor installed route phase 1 into the flat
-// per-source-shard outbox and run the serial cursor merge (mergeOutboxes)
+// per-source-shard outbox and run the serial merge (mergeOutboxes)
 // instead of parallel delivery. The sequential schedule needs no merge:
 // its sends are totally ordered already.
 //
@@ -108,35 +107,20 @@ import (
 
 	"pcfreduce/internal/gossip"
 	"pcfreduce/internal/metrics"
-	"pcfreduce/internal/topology"
 )
 
 // WithShards runs the engine's rounds under the deterministic phase-split
-// schedule over p contiguous node shards (p ≥ 1). Results are
-// byte-identical for every p — the shard count only selects how much of
-// phase 1 runs concurrently — so p is purely a performance knob: p=1 for
-// strictly serial execution with the same semantics, p≈GOMAXPROCS for
-// large topologies.
+// schedule over p contiguous node shards (p ≥ 1): shard s owns the ids
+// [s·n/p, (s+1)·n/p), and nodes that join later go to the last shard.
+// p above n is clamped to n. Results are byte-identical for every p —
+// the shard count only selects how much of phase 1 runs concurrently —
+// so p is purely a performance knob: p=1 for strictly serial execution
+// with the same semantics, p≈GOMAXPROCS for large topologies.
 func WithShards(p int) EngineOption {
 	if p < 1 {
 		panic(fmt.Sprintf("sim: WithShards requires p >= 1, got %d", p))
 	}
-	return func(e *Engine) { e.shards = p; e.partition = nil }
-}
-
-// WithPartition runs the phase-split schedule over an explicit shard
-// layout, e.g. topology.CacheAware's minimized-cut grouping. The layout
-// is a pure performance knob: any valid partition of the engine's graph
-// produces byte-identical results to WithShards(len(pt.Shards)) — the
-// merge order is ascending global id either way — so goldens, snapshots
-// and differential suites carry over unchanged. The partition must be a
-// disjoint exact cover of the graph's nodes in ascending order per
-// shard (topology.Partition.Validate; New panics otherwise).
-func WithPartition(pt *topology.Partition) EngineOption {
-	if pt == nil || len(pt.Shards) == 0 {
-		panic("sim: WithPartition requires a non-empty partition")
-	}
-	return func(e *Engine) { e.shards = len(pt.Shards); e.partition = pt }
+	return func(e *Engine) { e.shards = p }
 }
 
 // WithSerialDelivery makes phase 2 run its per-destination delivery
@@ -173,15 +157,12 @@ func (e *Engine) Shards() int {
 // local[s] (phase 1) or, for a delivery task d, in the destination-owned
 // slots named on shardScratch (phase 2).
 type shardState struct {
-	nodes    [][]int32 // per-shard ascending node-id lists
-	shardOf  []int32   // node id → shard index
-	nodeRNG  []uint64  // per-node splitmix64 state
-	contig   bool      // concatenated shard lists == 0..n−1 (merge fast path)
-	baseLast int       // len(nodes[last]) before any joins (dropMembership rewind)
+	first   []int    // first node id per shard (shardRange)
+	shardOf []int32  // node id → shard index
+	nodeRNG []uint64 // per-node splitmix64 state
 
 	local []shardLocal // per-shard scratch, one padded block run per shard
 
-	cursor  []int             // serial merge cursors (non-contiguous layouts)
 	surplus []*gossip.Message // rebalancePools scratch
 
 	// fuseErrs makes phase 1 compute every alive node's oracle error
@@ -207,14 +188,13 @@ type shardState struct {
 const shardBlock = 128
 
 // shardScratch is everything shard s's worker writes per node during a
-// round. Phase 1 (shard s's worker) owns all of it except dcur; phase 2
-// (delivery task d) writes only dcur of local[d], the pool of local[d],
-// and slot d of every source shard's bucket row.
+// round. Phase 1 (shard s's worker) owns all of it; phase 2 (delivery
+// task d) writes only the pool of local[d] and slot d of every source
+// shard's bucket row.
 type shardScratch struct {
 	pool   []*gossip.Message   // free list
 	outbox []*gossip.Message   // flat sends in emission order (interceptor rounds)
 	bucket [][]*gossip.Message // bucket[d]: sends to shard d's nodes, emission order
-	dcur   []int               // k-way merge cursors of delivery task s (non-contiguous layouts)
 	events []metrics.Event     // trace events staged in phase 1, flushed at the barrier
 	est    []float64           // estimate scratch of the error kernel
 	errs   []float64           // per-node oracle errors, ascending node id
@@ -395,65 +375,38 @@ func (e *Engine) runShards(phase string, ph metrics.Phase, f func(int)) {
 }
 
 // initShards builds the shard structures; called from New. An engine
-// built without WithShards or WithPartition gets the sequential schedule
-// on one shard.
+// built without WithShards gets the sequential schedule on one shard.
+// Shard s owns the id range [s·n/p, (s+1)·n/p); nodes that join later
+// are appended to the last shard, so the ranges stay contiguous and
+// ascending.
 func (e *Engine) initShards(seed int64) {
 	n := e.graph.N()
 	if e.shards == 0 {
 		e.seq, e.shards = true, 1
 	}
-	if e.partition != nil {
-		if err := e.partition.Validate(e.graph); err != nil {
-			panic(err)
-		}
-		e.shards = len(e.partition.Shards)
-	} else if e.shards > n && n > 0 {
+	if e.shards > n && n > 0 {
 		e.shards = n // more workers than nodes is pure overhead
 	}
 	p := e.shards
 	ss := &shardState{
-		nodes:   make([][]int32, p),
+		first:   make([]int, p),
 		shardOf: make([]int32, n),
 		nodeRNG: make([]uint64, n),
 		local:   make([]shardLocal, p),
-		cursor:  make([]int, p),
 	}
 	buckets := paddedRows[[]*gossip.Message](p, p)
-	dcurs := paddedRows[int](p, p)
 	ests := paddedRows[float64](p, e.width)
 	for s := range ss.local {
 		ss.local[s].bucket = buckets[s]
-		ss.local[s].dcur = dcurs[s]
 		ss.local[s].est = ests[s]
 	}
-	if e.partition != nil {
-		for s, list := range e.partition.Shards {
-			// Private copies: joins append to the last shard's list, which
-			// must not scribble on the caller's (possibly shared) partition.
-			ss.nodes[s] = append(make([]int32, 0, len(list)), list...)
-		}
-	} else {
-		backing := make([]int32, n)
-		for i := range backing {
-			backing[i] = int32(i)
-		}
-		for s := 0; s < p; s++ {
-			lo, hi := s*n/p, (s+1)*n/p
-			ss.nodes[s] = backing[lo:hi:hi]
-		}
-	}
-	prev := int32(-1)
-	ss.contig = true
 	for s := 0; s < p; s++ {
-		for _, i := range ss.nodes[s] {
+		lo, hi := s*n/p, (s+1)*n/p
+		ss.first[s] = lo
+		for i := lo; i < hi; i++ {
 			ss.shardOf[i] = int32(s)
-			if i != prev+1 {
-				ss.contig = false
-			}
-			prev = i
 		}
 	}
-	ss.baseLast = len(ss.nodes[p-1])
 	// Pre-size the inboxes for the expected per-round load (one data
 	// message in expectation, Poisson tail, plus keepalives from every
 	// neighbor under a detector): without this, millions of nodes keep
@@ -475,6 +428,15 @@ func (e *Engine) initShards(seed int64) {
 	e.seedNodeRNG(seed)
 }
 
+// shardRange returns shard s's node ids, [lo, hi). The last shard runs
+// to the current node count, so it covers every joined node.
+func (e *Engine) shardRange(s int) (lo, hi int) {
+	if s+1 < len(e.shard.first) {
+		return e.shard.first[s], e.shard.first[s+1]
+	}
+	return e.shard.first[s], len(e.alive)
+}
+
 // splitmix64 constants (Steele, Lea & Flood, OOPSLA 2014).
 const (
 	smixGamma = 0x9E3779B97F4A7C15 // golden-ratio increment
@@ -490,7 +452,7 @@ func mix64(z uint64) uint64 {
 }
 
 // seedNodeRNG derives every node's stream state from (seed, id) alone —
-// never from shard layout — so the whole communication schedule is a
+// never from the shard count — so the whole communication schedule is a
 // pure function of the engine seed. The same derivation idiom as
 // experiments.deriveSeed: decorrelate the lattice of inputs through one
 // extra mix round.
@@ -674,8 +636,8 @@ func (e *Engine) shardPhase1(s int) {
 	sl := &e.shard.local[s]
 	fuse := e.shard.fuseErrs
 	sl.errs = sl.errs[:0]
-	for _, i32 := range e.shard.nodes[s] {
-		i := int(i32)
+	lo, hi := e.shardRange(s)
+	for i := lo; i < hi; i++ {
 		if !e.alive[i] {
 			continue
 		}
@@ -791,51 +753,19 @@ func (e *Engine) deliverRound() {
 }
 
 // deliverShard routes every message destined for shard d's nodes into
-// their inboxes, in ascending global source id order. On contiguous
-// layouts that order is "bucket[0][d], then bucket[1][d], …"; on an
-// arbitrary partition the task k-way-merges its P source buckets by
-// smallest head source id (no ties — each source lives in exactly one
-// shard), draining each node's run of sends in emission order. Touches
-// only destination-shard-owned state: inboxes of d's nodes, pool d,
-// counter bank d, and the streams of directed links into d.
+// their inboxes, in ascending global source id order: bucket[0][d], then
+// bucket[1][d], … (each bucket is in emission order, and the shards are
+// ascending id ranges). Touches only destination-shard-owned state:
+// inboxes of d's nodes, pool d, counter bank d, and the streams of
+// directed links into d.
 func (e *Engine) deliverShard(d int) {
 	local := e.shard.local
-	if e.shard.contig {
-		for s := range local {
-			col := local[s].bucket[d]
-			for _, m := range col {
-				e.route(m, d)
-			}
-			local[s].bucket[d] = col[:0]
-		}
-		return
-	}
-	cur := local[d].dcur
-	clear(cur)
-	last := -1
-	for {
-		best, bestFrom := -1, 0
-		for s := range local {
-			col := local[s].bucket[d]
-			if cur[s] < len(col) && (best < 0 || col[cur[s]].From < bestFrom) {
-				best, bestFrom = s, col[cur[s]].From
-			}
-		}
-		if best < 0 {
-			break
-		}
-		if bestFrom < last {
-			panic(fmt.Sprintf("sim: bucket (%d→%d) out of source id order (%d after %d)", best, d, bestFrom, last))
-		}
-		last = bestFrom
-		col := local[best].bucket[d]
-		for cur[best] < len(col) && col[cur[best]].From == bestFrom {
-			e.route(col[cur[best]], d)
-			cur[best]++
-		}
-	}
 	for s := range local {
-		local[s].bucket[d] = local[s].bucket[d][:0]
+		col := local[s].bucket[d]
+		for _, m := range col {
+			e.route(m, d)
+		}
+		local[s].bucket[d] = col[:0]
 	}
 }
 
@@ -859,7 +789,7 @@ func (e *Engine) route(msg *gossip.Message, d int) {
 	// Per-link heterogeneous loss: each directed link draws from its own
 	// splitmix64 stream, touched only by the destination shard's task, so
 	// the draw sequence per link — the only sequence that matters — is
-	// identical for every shard count, layout and delivery order.
+	// identical for every shard count and delivery order.
 	if e.lossRates != nil && e.lossDrop(msg.From, msg.To) {
 		b.Inc(metrics.MsgsLost)
 		e.putMsgShard(d, msg)
@@ -901,101 +831,30 @@ func (e *Engine) route(msg *gossip.Message, d int) {
 
 // mergeOutboxes is the serial phase 2 used for interceptor rounds:
 // route every queued message into its destination inbox in ascending
-// GLOBAL source id order, so stateful-interceptor call sequences are
-// identical for every shard count and layout. On contiguous layouts
-// that order is exactly "shard 0's outbox, then shard 1's, …", so the
-// merge walks the outboxes directly; on an arbitrary partition the
-// outboxes are k-way-merged by smallest head source id (each shard's
-// outbox is id-sorted — phase 1 activates ascending — and a node's
-// sends are consecutive in its shard's outbox, so draining the head run
-// reproduces the global order without scanning every node id).
+// GLOBAL source id order — shard 0's outbox, then shard 1's, … — so
+// stateful-interceptor call sequences are identical for every shard
+// count.
 func (e *Engine) mergeOutboxes() {
 	local := e.shard.local
-	if e.shard.contig {
-		for s := range local {
-			for _, m := range local[s].outbox {
-				e.route(m, int(e.shard.shardOf[m.To]))
-			}
-			local[s].outbox = local[s].outbox[:0]
-		}
-		return
-	}
-	cur := e.shard.cursor
-	clear(cur)
-	last := -1
-	for {
-		best, bestFrom := -1, 0
-		for s := range local {
-			out := local[s].outbox
-			if cur[s] < len(out) && (best < 0 || out[cur[s]].From < bestFrom) {
-				best, bestFrom = s, out[cur[s]].From
-			}
-		}
-		if best < 0 {
-			break
-		}
-		if bestFrom < last {
-			panic(fmt.Sprintf("sim: shard %d outbox out of source id order (%d after %d)", best, bestFrom, last))
-		}
-		last = bestFrom
-		out := local[best].outbox
-		for cur[best] < len(out) && out[cur[best]].From == bestFrom {
-			m := out[cur[best]]
-			e.route(m, int(e.shard.shardOf[m.To]))
-			cur[best]++
-		}
-	}
 	for s := range local {
+		for _, m := range local[s].outbox {
+			e.route(m, int(e.shard.shardOf[m.To]))
+		}
 		local[s].outbox = local[s].outbox[:0]
 	}
 }
 
 // flushShardEvents moves phase-1-staged trace events into the
-// recorder's ring in ascending emitting-node order — the same cursor
-// merge as the outboxes, so the recorded stream is identical for every
-// shard count and layout.
+// recorder's ring in ascending emitting-node order — shard 0's buffer,
+// then shard 1's, … — so the recorded stream is identical for every
+// shard count.
 func (e *Engine) flushShardEvents() {
 	local := e.shard.local
-	total := 0
 	for s := range local {
-		total += len(local[s].events)
-	}
-	if total == 0 {
-		return
-	}
-	if e.shard.contig {
-		for s := range local {
-			if len(local[s].events) > 0 {
-				e.rec.RecordEvents(local[s].events)
-			}
+		if len(local[s].events) > 0 {
+			e.rec.RecordEvents(local[s].events)
+			local[s].events = local[s].events[:0]
 		}
-	} else {
-		// K-way merge by smallest head emitting-node id: a node's events
-		// are consecutive in its shard's buffer (phase 1 activates
-		// ascending), so draining each head run walks the events once
-		// instead of scanning every node id per round.
-		cur := e.shard.cursor
-		clear(cur)
-		for {
-			best, bestA := -1, 0
-			for s := range local {
-				evs := local[s].events
-				if cur[s] < len(evs) && (best < 0 || evs[cur[s]].A < bestA) {
-					best, bestA = s, evs[cur[s]].A
-				}
-			}
-			if best < 0 {
-				break
-			}
-			evs := local[best].events
-			for cur[best] < len(evs) && evs[cur[best]].A == bestA {
-				e.rec.RecordEvent(evs[cur[best]])
-				cur[best]++
-			}
-		}
-	}
-	for s := range local {
-		local[s].events = local[s].events[:0]
 	}
 }
 
@@ -1066,25 +925,12 @@ func (e *Engine) stepErrors() []float64 {
 
 // mergeShardErrs concatenates the per-shard error slices into errBuf in
 // ascending node id order — the same skip-dead sequence for every shard
-// layout.
+// count.
 func (e *Engine) mergeShardErrs() []float64 {
 	local := e.shard.local
 	e.errBuf = e.errBuf[:0]
-	if e.shard.contig {
-		for s := range local {
-			e.errBuf = append(e.errBuf, local[s].errs...)
-		}
-		return e.errBuf
-	}
-	cur := e.shard.cursor
-	clear(cur)
-	for i := 0; i < len(e.protos); i++ {
-		if !e.alive[i] {
-			continue
-		}
-		s := e.shard.shardOf[i]
-		e.errBuf = append(e.errBuf, local[s].errs[cur[s]])
-		cur[s]++
+	for s := range local {
+		e.errBuf = append(e.errBuf, local[s].errs...)
 	}
 	return e.errBuf
 }
@@ -1094,8 +940,9 @@ func (e *Engine) mergeShardErrs() []float64 {
 func (e *Engine) errorsRange(s int) {
 	sl := &e.shard.local[s]
 	sl.errs = sl.errs[:0]
-	for _, i32 := range e.shard.nodes[s] {
-		if i := int(i32); e.alive[i] {
+	lo, hi := e.shardRange(s)
+	for i := lo; i < hi; i++ {
+		if e.alive[i] {
 			sl.errs = append(sl.errs, e.nodeErr(sl, i))
 		}
 	}

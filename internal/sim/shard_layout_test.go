@@ -20,7 +20,7 @@ func blocksOf(p unsafe.Pointer, size uintptr) block {
 // TestShardLocalLayout pins the false-sharing rule of shardLocal: its
 // size is a whole number of 128-byte blocks with more than a block of
 // padding, and on real engines no two shards' scratch headers — nor
-// their bucket, cursor and estimate rows — touch the same block.
+// their bucket and estimate rows — touch the same block.
 func TestShardLocalLayout(t *testing.T) {
 	size, hot := unsafe.Sizeof(shardLocal{}), unsafe.Sizeof(shardScratch{})
 	if size%shardBlock != 0 {
@@ -43,7 +43,6 @@ func TestShardLocalLayout(t *testing.T) {
 			spans[s] = []block{
 				blocksOf(unsafe.Pointer(&sl.shardScratch), hot),
 				blocksOf(unsafe.Pointer(unsafe.SliceData(sl.bucket)), uintptr(len(sl.bucket))*unsafe.Sizeof(sl.bucket[0])),
-				blocksOf(unsafe.Pointer(unsafe.SliceData(sl.dcur)), uintptr(len(sl.dcur))*unsafe.Sizeof(sl.dcur[0])),
 				blocksOf(unsafe.Pointer(unsafe.SliceData(sl.est)), uintptr(len(sl.est))*unsafe.Sizeof(sl.est[0])),
 			}
 		}

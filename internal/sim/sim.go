@@ -19,9 +19,9 @@
 //     stale state on every round, which biases the flow algorithms' ratio
 //     estimates; sequential activation avoids this artifact.)
 //
-//   - The phase-split schedule (WithShards, WithPartition) activates P
-//     node shards in parallel and delivers between rounds, with results
-//     byte-identical for every shard count and layout.
+//   - The phase-split schedule (WithShards) activates P contiguous node
+//     shards in parallel and delivers between rounds, with results
+//     byte-identical for every shard count.
 //
 // Two design decisions matter for reproducing the paper:
 //
@@ -148,12 +148,11 @@ type Engine struct {
 	probeVal  gossip.Value      // massResidual scratch
 	probeSums []stats.Sum2      // massResidual scratch
 
-	seq           bool                // sequential schedule: one internal shard, permutation, immediate delivery
-	shards        int                 // executor shard count (1 under the sequential schedule)
-	shard         *shardState         // executor state (shard.go)
-	partition     *topology.Partition // explicit shard layout (WithPartition); nil = contiguous
-	serialDeliver bool                // run phase-2 delivery tasks inline (WithSerialDelivery)
-	phaseLabels   bool                // pprof-label pooled tasks (WithPhaseLabels)
+	seq           bool        // sequential schedule: one internal shard, permutation, immediate delivery
+	shards        int         // executor shard count (1 under the sequential schedule)
+	shard         *shardState // executor state (shard.go)
+	serialDeliver bool        // run phase-2 delivery tasks inline (WithSerialDelivery)
+	phaseLabels   bool        // pprof-label pooled tasks (WithPhaseLabels)
 
 	nodeCkpt []*gossip.State // per-node crash-restart checkpoints (snapshot.go); nil until CheckpointNode
 

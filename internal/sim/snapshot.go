@@ -14,7 +14,7 @@ package sim
 // The determinism contract: Restore(Snapshot()) taken at round R on a
 // sharded engine, followed by stepping to round T, is byte-identical to
 // the uninterrupted run at every shard count — snapshots record no
-// shard layout (node streams are derived from ids, the merge order from
+// shard count (node streams are derived from ids, the merge order from
 // ascending node ids), so a snapshot taken at shards=2 restores into a
 // shards=8 engine and continues the same schedule. Only the phase-split
 // schedule supports this: the sequential schedule draws from one
@@ -307,7 +307,6 @@ func (e *Engine) appendNodeScaffold(id int) {
 	}
 	e.shard.nodeRNG = append(e.shard.nodeRNG, 0) // overwritten by the main stream
 	e.shard.shardOf = append(e.shard.shardOf, int32(e.shards-1))
-	e.shard.nodes[e.shards-1] = append(e.shard.nodes[e.shards-1], int32(id))
 }
 
 // Restore rewinds the engine to the snapshot's state. The engine must

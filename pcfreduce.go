@@ -85,26 +85,6 @@ var (
 	WattsStrogatz = topology.WattsStrogatz
 )
 
-// Partition is an explicit node→shard assignment for the sharded
-// executor (re-exported from the topology package).
-type Partition = topology.Partition
-
-// PartitionStats summarizes a partition: shard sizes and the number of
-// topology edges crossing shard boundaries (the cross-shard traffic the
-// cache-aware layout minimizes).
-type PartitionStats = topology.PartitionStats
-
-// Partition constructors.
-var (
-	// ContiguousPartition splits node ids into p contiguous blocks.
-	ContiguousPartition = topology.Contiguous
-	// CacheAwarePartition grows p balanced shards along topology edges
-	// (deterministic BFS), minimizing cut edges; it never cuts more
-	// edges than ContiguousPartition. Results of a reduction are
-	// byte-identical under any partition — only locality changes.
-	CacheAwarePartition = topology.CacheAware
-)
-
 // Aggregate selects the reduction target.
 type Aggregate = gossip.Aggregate
 
@@ -237,12 +217,6 @@ type ReduceOptions struct {
 	// so Shards=0 and Shards=1 runs are distinct reproducible
 	// experiments.
 	Shards int
-	// CacheAware, with Shards > 1, lays the shards out with the
-	// cache-aware partitioner instead of contiguous id blocks: shards
-	// follow topology edges, so most gossip messages stay
-	// shard-local. Byte-identical results — only memory locality and
-	// cross-shard traffic change.
-	CacheAware bool
 	// Metrics, when non-nil, attaches the recorder for the run: invariant
 	// samples every Metrics.Interval rounds, counters, and the fault /
 	// detector event trace. Attaching a recorder never changes the
@@ -396,9 +370,6 @@ func reduceScalar(init []Value, algo Algorithm, opt ReduceOptions) ReduceResult 
 func (opt *ReduceOptions) engineOptions() []sim.EngineOption {
 	if opt.Shards <= 0 {
 		return nil
-	}
-	if opt.CacheAware {
-		return []sim.EngineOption{sim.WithPartition(topology.CacheAware(opt.Topology, opt.Shards))}
 	}
 	return []sim.EngineOption{sim.WithShards(opt.Shards)}
 }
@@ -577,10 +548,9 @@ type QROptions struct {
 	// instead of 2m−1 — roughly halving the total rounds at equal
 	// accuracy.
 	Batched bool
-	// Shards and CacheAware configure the sharded executor for every
-	// reduction, as in ReduceOptions.
-	Shards     int
-	CacheAware bool
+	// Shards configures the sharded executor for every reduction, as in
+	// ReduceOptions.
+	Shards int
 }
 
 // QRResult reports a distributed factorization V ≈ Q·R.
@@ -643,7 +613,7 @@ func QR(v *Matrix, algo Algorithm, opt QROptions) (QRResult, error) {
 	if opt.Shards < 0 {
 		return QRResult{}, fmt.Errorf("pcfreduce: QROptions.Shards is %d, want ≥ 0", opt.Shards)
 	}
-	ropt := ReduceOptions{Topology: opt.Topology, Shards: opt.Shards, CacheAware: opt.CacheAware}
+	ropt := ReduceOptions{Topology: opt.Topology, Shards: opt.Shards}
 	var spiked bool
 	cfg := dmgs.Config{
 		Topology:    opt.Topology,

@@ -483,32 +483,6 @@ func TestReduceBatchValidation(t *testing.T) {
 	}
 }
 
-// The cache-aware layout changes nothing but locality: byte-identical
-// estimates, rounds and error to the contiguous sharded run.
-func TestReduceCacheAwareByteIdentical(t *testing.T) {
-	g := pcfreduce.Grid2D(8, 8)
-	in := inputsFor(g)
-	base := pcfreduce.ReduceOptions{Topology: g, Eps: 1e-13, Shards: 4}
-	contig, err := pcfreduce.Reduce(in, pcfreduce.PCF, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ca := base
-	ca.CacheAware = true
-	got, err := pcfreduce.Reduce(in, pcfreduce.PCF, ca)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Rounds != contig.Rounds || got.MaxError != contig.MaxError {
-		t.Fatalf("cache-aware run diverges: %+v vs %+v", got, contig)
-	}
-	for i := range got.Estimates {
-		if got.Estimates[i] != contig.Estimates[i] {
-			t.Fatalf("node %d: %.17g vs %.17g", i, got.Estimates[i], contig.Estimates[i])
-		}
-	}
-}
-
 // A stall cutoff that fires while a reduction's error spikes must not
 // end the factorization: on this input the first cutoff of 60 rounds
 // stops one reduction at 7.9e-12 (its best was 2.2e-15), and the
@@ -541,7 +515,7 @@ func TestQRBatched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batched, err := pcfreduce.QR(v, pcfreduce.PCF, pcfreduce.QROptions{Topology: g, Batched: true, Shards: 2, CacheAware: true})
+	batched, err := pcfreduce.QR(v, pcfreduce.PCF, pcfreduce.QROptions{Topology: g, Batched: true, Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
